@@ -58,6 +58,7 @@
 #include "support/Timer.h"
 #include "trace/Trace.h"
 #include "trace/TraceExport.h"
+#include "verify/Oracle.h"
 
 #include <cstdio>
 #include <cstdlib>
@@ -217,24 +218,21 @@ private:
   bool TraceExported = false;
 };
 
-/// Machine-readable measurement output for the ablation harnesses
+/// Machine-readable measurement output for the harnesses
 /// (--json=<path>). Rows mirror the printed table: named columns, one cell
 /// list per record call. Cells that parse fully as numbers are emitted as
 /// JSON numbers, everything else as strings. The file is written when the
 /// log is destroyed (end of main); an empty path disables the log.
 class JsonLog {
 public:
-  explicit JsonLog(std::string Path) : Path(std::move(Path)) {}
-  /// Harness-standard form: takes the output path from --json and, when the
-  /// env carries a tracing session, embeds a per-round trace digest in the
-  /// written file (path of the full Chrome trace, round/span totals, and a
-  /// bounded per-round [run, round, ms, frontier, direction] array).
+  /// Takes the output path from --json and, when the env carries a tracing
+  /// session, embeds a per-round trace digest in the written file (path of
+  /// the full Chrome trace, round/span totals, and a bounded per-round
+  /// [run, round, ms, frontier, direction] array).
   explicit JsonLog(const BenchEnv &Env) : Path(Env.JsonPath), Env(&Env) {}
   ~JsonLog() { write(); }
   JsonLog(const JsonLog &) = delete;
   JsonLog &operator=(const JsonLog &) = delete;
-
-  bool enabled() const { return !Path.empty(); }
 
   /// Attaches a top-level key/value pair (harness name, scale, ...).
   void meta(const std::string &Key, const std::string &Value) {
@@ -390,28 +388,64 @@ inline const Csr &graphFor(const Input &In, KernelKind Kind) {
   return kernelNeedsSortedAdjacency(Kind) ? In.GSorted : In.G;
 }
 
-/// Runs \p Kind \p Reps times and returns the average milliseconds;
-/// verifies the first run's output when \p Verify is set.
+/// Certifies one kernel output with its semantic oracle (verify/Oracle.h).
+/// On failure prints the oracle's reason, naming the run by \p What, and
+/// returns false.
+inline bool outputCertified(KernelKind Kind, const Input &In,
+                            const KernelOutput &Out, const KernelConfig &Cfg,
+                            const std::string &What) {
+  verify::OracleResult R = verify::checkKernelOutput(
+      Kind, graphFor(In, Kind), In.Source, Out, Cfg);
+  if (!R.Ok)
+    std::fprintf(stderr, "error: %s on %s (%s) failed verification: %s\n",
+                 kernelName(Kind), In.Name.c_str(), What.c_str(),
+                 R.Reason.c_str());
+  return R.Ok;
+}
+
+/// The Cfg.Layout view of one graph, built ahead of the timed runs (never
+/// inside them, unlike runKernel over a bare Csr) in the shape
+/// runKernel(Csr) would use, plus its transpose once a pull-capable run
+/// needs one.
+struct PrebuiltLayout {
+  AnyLayout L;
+  LayoutOptions Opts;
+  double BuildMs = 0.0; ///< layout plus transpose build time
+
+  PrebuiltLayout(const Csr &G, simd::TargetKind Target,
+                 const KernelConfig &Cfg) {
+    Opts.SellChunk = simd::targetWidth(Target);
+    Opts.SellSigma = Cfg.SellSigma;
+    BuildMs = timeMs([&] { L = AnyLayout::build(Cfg.Layout, G, Opts); });
+  }
+
+  /// Builds the transpose the first time \p Kind runs a pull or hybrid
+  /// direction over this layout.
+  void ensureTranspose(KernelKind Kind, const KernelConfig &Cfg) {
+    if (Cfg.Dir != Direction::Push && kernelUsesDirection(Kind) &&
+        !L.hasTranspose())
+      BuildMs += timeMs([&] { L.buildTranspose(Opts); });
+  }
+};
+
+/// Runs \p Kind \p Reps times over a prebuilt layout and returns the
+/// average milliseconds; certifies one extra untimed run's output when
+/// \p Verify is set.
 inline double timeKernel(KernelKind Kind, simd::TargetKind Target,
                          const Input &In, const KernelConfig &BaseCfg,
                          int Reps, bool Verify) {
-  const Csr &G = graphFor(In, Kind);
   KernelConfig Cfg = BaseCfg;
   if (Cfg.Trace == nullptr)
     Cfg.Trace = activeTrace();
-  if (Verify) {
-    KernelOutput Out = runKernel(Kind, Target, G, Cfg, In.Source);
-    if (!verifyKernelOutput(Kind, G, In.Source, Out, Cfg)) {
-      std::fprintf(stderr,
-                   "error: %s on %s with %s failed verification\n",
-                   kernelName(Kind), In.Name.c_str(),
-                   simd::targetName(Target));
-      std::exit(1);
-    }
-  }
+  PrebuiltLayout P(graphFor(In, Kind), Target, Cfg);
+  P.ensureTranspose(Kind, Cfg);
+  if (Verify && !outputCertified(
+                    Kind, In, runKernel(Kind, Target, P.L, Cfg, In.Source),
+                    Cfg, simd::targetName(Target)))
+    std::exit(1);
   double Total = 0.0;
   for (int R = 0; R < Reps; ++R)
-    Total += timeMs([&] { runKernel(Kind, Target, G, Cfg, In.Source); });
+    Total += timeMs([&] { runKernel(Kind, Target, P.L, Cfg, In.Source); });
   return Total / Reps;
 }
 

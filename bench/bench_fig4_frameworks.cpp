@@ -15,7 +15,6 @@
 #include "baselines/graphit/GraphIt.h"
 #include "baselines/ligra/Apps.h"
 #include "baselines/scalar/ScalarKernels.h"
-#include "kernels/Reference.h"
 
 #include <cmath>
 
