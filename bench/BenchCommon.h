@@ -39,7 +39,8 @@
 ///               (EGACS_TRACE builds only; otherwise exits 2)
 ///   --trace-summary  print the per-round summary table at exit
 ///
-/// or the equivalent EGACS_* environment variables.
+/// or the equivalent EGACS_* environment variables. An input too large for
+/// the 32-bit index space (GraphSizeError) prints its message and exits 2.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -62,6 +63,7 @@
 
 #include <cstdio>
 #include <cstdlib>
+#include <exception>
 #include <memory>
 #include <string>
 #include <utility>
@@ -84,6 +86,25 @@ struct Input {
 inline trace::TraceSession *&activeTrace() {
   static trace::TraceSession *S = nullptr;
   return S;
+}
+
+/// Installs (once) the harnesses' terminate handler: a GraphSizeError nobody
+/// caught is a usage error, so it prints its message and exits 2 like a bad
+/// option does; any other uncaught exception goes to the previous handler.
+inline void installGraphSizeErrorExit() {
+  static const std::terminate_handler Previous = std::set_terminate([] {
+    try {
+      if (std::exception_ptr E = std::current_exception())
+        std::rethrow_exception(E);
+    } catch (const GraphSizeError &Err) {
+      std::fprintf(stderr, "error: %s\n", Err.what());
+      std::exit(2);
+    } catch (...) {
+    }
+    if (Previous)
+      Previous();
+    std::abort();
+  });
 }
 
 /// Common harness options parsed from argv/environment.
@@ -134,6 +155,7 @@ struct BenchEnv {
         Verify(Opts.getBool("verify", true)),
         TracePath(Opts.getString("trace", "")),
         TraceSummary(Opts.getBool("trace-summary", false)) {
+    installGraphSizeErrorExit();
     if (NumTasks < 1)
       NumTasks = 1;
     if (ChunkSize < 1)

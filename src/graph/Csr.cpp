@@ -11,7 +11,6 @@
 
 #include <algorithm>
 #include <cstdio>
-#include <cstdlib>
 #include <limits>
 
 using namespace egacs;
@@ -115,13 +114,15 @@ Csr egacs::buildCsr(NodeId NumNodes, std::vector<RawEdge> Edges,
   // up front so the reserve below cannot already overflow EdgeId math.
   std::size_t WorstCase = Edges.size() * (Opts.Symmetrize ? 2 : 1);
   if (!csrEdgeCountValid(WorstCase)) {
-    std::fprintf(stderr,
-                 "error: buildCsr: %zu edges%s exceed the 32-bit EdgeId "
-                 "index space (max %zu); rebuild with 64-bit edge ids or "
-                 "shard the input\n",
-                 Edges.size(), Opts.Symmetrize ? " (after symmetrization)" : "",
-                 static_cast<std::size_t>(std::numeric_limits<EdgeId>::max()));
-    std::exit(2);
+    char Msg[256];
+    std::snprintf(Msg, sizeof(Msg),
+                  "buildCsr: %zu edges%s exceed the 32-bit EdgeId index "
+                  "space (max %zu); rebuild with 64-bit edge ids or shard "
+                  "the input",
+                  Edges.size(),
+                  Opts.Symmetrize ? " (after symmetrization)" : "",
+                  static_cast<std::size_t>(std::numeric_limits<EdgeId>::max()));
+    throw GraphSizeError(Msg);
   }
   if (Opts.Symmetrize) {
     std::size_t Original = Edges.size();

@@ -21,6 +21,7 @@
 #include <cassert>
 #include <cstdint>
 #include <span>
+#include <stdexcept>
 #include <string>
 #include <utility>
 #include <vector>
@@ -121,9 +122,17 @@ struct BuildOptions {
 /// count without materializing two billion edges.
 bool csrEdgeCountValid(std::size_t Count);
 
+/// A graph whose node or arc count does not fit the 32-bit NodeId/EdgeId
+/// index space. Thrown by buildCsr and the generators before anything is
+/// materialized; the command-line tools report what() and exit 2.
+class GraphSizeError : public std::length_error {
+public:
+  using std::length_error::length_error;
+};
+
 /// Builds a CSR graph from \p Edges over \p NumNodes nodes. Inputs whose
 /// final edge count (after symmetrization) overflows EdgeId are rejected
-/// with a diagnostic on stderr and a failed exit -- never silently wrapped.
+/// with a GraphSizeError -- never silently wrapped.
 Csr buildCsr(NodeId NumNodes, std::vector<RawEdge> Edges,
              const BuildOptions &Opts = {});
 

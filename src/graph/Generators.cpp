@@ -12,7 +12,6 @@
 #include <algorithm>
 #include <cassert>
 #include <cstdio>
-#include <cstdlib>
 #include <limits>
 
 using namespace egacs;
@@ -25,22 +24,23 @@ namespace {
 /// only after allocating the full raw edge list.
 void checkGeneratorSize(const char *Generator, std::int64_t NumNodes,
                         std::uint64_t RequestedArcs) {
+  char Msg[256];
   if (NumNodes > std::numeric_limits<NodeId>::max()) {
-    std::fprintf(stderr,
-                 "error: %s: %lld nodes exceed the 32-bit NodeId space; "
-                 "lower the scale\n",
-                 Generator, static_cast<long long>(NumNodes));
-    std::exit(2);
+    std::snprintf(Msg, sizeof(Msg),
+                  "%s: %lld nodes exceed the 32-bit NodeId space; lower the "
+                  "scale",
+                  Generator, static_cast<long long>(NumNodes));
+    throw GraphSizeError(Msg);
   }
   // Symmetrization at most doubles the requested arcs.
   if (!csrEdgeCountValid(static_cast<std::size_t>(RequestedArcs) * 2)) {
-    std::fprintf(stderr,
-                 "error: %s: %llu requested arcs (up to %llu after "
-                 "symmetrization) exceed the 32-bit EdgeId index space; "
-                 "lower the scale or edge factor\n",
-                 Generator, static_cast<unsigned long long>(RequestedArcs),
-                 static_cast<unsigned long long>(RequestedArcs * 2));
-    std::exit(2);
+    std::snprintf(Msg, sizeof(Msg),
+                  "%s: %llu requested arcs (up to %llu after symmetrization) "
+                  "exceed the 32-bit EdgeId index space; lower the scale or "
+                  "edge factor",
+                  Generator, static_cast<unsigned long long>(RequestedArcs),
+                  static_cast<unsigned long long>(RequestedArcs * 2));
+    throw GraphSizeError(Msg);
   }
 }
 

@@ -19,7 +19,7 @@
 /// of graph (degree distribution, diameter) is what the paper's effects
 /// depend on. All generators are deterministic in their seed. Requests
 /// whose node or worst-case arc count would overflow the 32-bit
-/// NodeId/EdgeId index space are rejected up front with a diagnostic
+/// NodeId/EdgeId index space are rejected up front with a GraphSizeError
 /// (csrEdgeCountValid) instead of silently wrapping.
 ///
 //===----------------------------------------------------------------------===//

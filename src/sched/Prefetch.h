@@ -102,8 +102,9 @@ struct PrefetchPlan {
   bool wantProps() const { return Policy == PrefetchPolicy::RowsProps; }
 };
 
-/// Per-task prefetch statistics, batched so the hot loops never touch the
-/// global (contended) counters; flushed on destruction.
+/// Per-task prefetch statistics, batched in plain fields next to the
+/// duplicate-line state the inspect loops already touch; flushed on
+/// destruction.
 struct PrefetchCounters {
   std::uint64_t Issued = 0;
   std::uint64_t Lines = 0;

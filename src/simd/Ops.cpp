@@ -7,14 +7,9 @@
 
 #include "simd/Ops.h"
 
-namespace {
-
-// Plain global: benchmarks toggle it around counting runs only; concurrent
-// reads of a stale value merely miscount a handful of boundary operations.
-volatile bool OpCountingOn = false;
-
-} // namespace
-
-bool egacs::simd::opCountingEnabled() { return OpCountingOn; }
-
-void egacs::simd::setOpCounting(bool Enabled) { OpCountingOn = Enabled; }
+// The flag itself is an inline variable in Ops.h so every wrapper reads it
+// without a call. Benchmarks toggle it around counting runs only; a wrapper
+// that reads a stale value merely miscounts a handful of boundary operations.
+void egacs::simd::setOpCounting(bool Enabled) {
+  detail::OpCountingOn.store(Enabled, std::memory_order_relaxed);
+}

@@ -10,7 +10,10 @@
 /// overloads so kernels read like the scalar SPMD code the paper's compiler
 /// consumes. Every wrapper optionally bumps a dynamic-operation counter
 /// (enabled via simd::setOpCounting), which is how we reproduce the paper's
-/// Pin-based dynamic instruction counts (Fig 7) without Pin.
+/// Pin-based dynamic instruction counts (Fig 7) without Pin. The check is an
+/// inlined relaxed load of one flag; when it is set, each counted op adds
+/// into the calling thread's statistic shard (support/Stats.h), so counting
+/// costs a private increment per op and no shared cache line.
 ///
 /// Naming follows ISPC where a counterpart exists:
 ///   programIndex() -> iota, laneMask() -> mask bits of the execution mask,
@@ -24,16 +27,27 @@
 #include "simd/Backend.h"
 #include "support/Stats.h"
 
+#include <atomic>
 #include <cstdint>
 #include <type_traits>
 #include <utility>
 
 namespace egacs::simd {
 
-/// Returns true when dynamic-operation counting is enabled.
-bool opCountingEnabled();
+namespace detail {
+/// The op-counting switch, read once per wrapper call.
+inline std::atomic<bool> OpCountingOn{false};
+} // namespace detail
 
-/// Enables/disables dynamic-operation counting (global, racy-benign).
+/// Returns true when dynamic-operation counting is enabled: an inlined
+/// relaxed load, so the wrappers cost a load and a not-taken branch per op
+/// while counting is off.
+inline bool opCountingEnabled() {
+  return detail::OpCountingOn.load(std::memory_order_relaxed);
+}
+
+/// Enables/disables dynamic-operation counting (global; wrappers running
+/// concurrently with the toggle may miscount a few boundary operations).
 void setOpCounting(bool Enabled);
 
 namespace detail {

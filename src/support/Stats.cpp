@@ -1,4 +1,4 @@
-//===- support/Stats.cpp - Global statistic counters ----------------------===//
+//===- support/Stats.cpp - Per-thread statistic shards --------------------===//
 //
 // Part of the EGACS project, a reproduction of "Efficient Execution of Graph
 // Algorithms on CPU with SIMD Extensions" (CGO 2021).
@@ -9,14 +9,40 @@
 
 #include <cassert>
 #include <iterator>
+#include <mutex>
+#include <vector>
 
 using namespace egacs;
+using egacs::statsdetail::NumStats;
+using egacs::statsdetail::StatShard;
 
 namespace {
 
-constexpr unsigned NumStats = static_cast<unsigned>(Stat::NumStats);
+/// Every shard ever handed out, and the ones whose thread has exited. Leaked
+/// on purpose (as are the shards) so threads that outlive static destruction
+/// can still release theirs.
+struct ShardRegistry {
+  std::mutex Mu;
+  std::vector<StatShard *> All;
+  std::vector<StatShard *> Free;
+};
 
-std::atomic<std::uint64_t> Counters[NumStats];
+ShardRegistry &registry() {
+  static ShardRegistry *Registry = new ShardRegistry;
+  return *Registry;
+}
+
+/// Returns the thread's shard to the free list at thread exit. The shard
+/// keeps its counts: its next owner adds on top of them, so nothing a
+/// finished thread counted is lost.
+struct ShardReleaser {
+  ~ShardReleaser() {
+    ShardRegistry &Registry = registry();
+    std::lock_guard<std::mutex> Lock(Registry.Mu);
+    Registry.Free.push_back(statsdetail::ThreadShard);
+    statsdetail::ThreadShard = nullptr;
+  }
+};
 
 /// Harness names, indexed by Stat declaration order. The static_assert
 /// below makes adding a counter without naming it (or vice versa) a compile
@@ -64,24 +90,46 @@ const char *egacs::statName(Stat S) {
   return StatNames[static_cast<unsigned>(S)];
 }
 
-void egacs::statAdd(Stat S, std::uint64_t Delta) {
-  Counters[static_cast<unsigned>(S)].fetch_add(Delta,
-                                               std::memory_order_relaxed);
+StatShard *egacs::statsdetail::registerThreadShard() {
+  static thread_local ShardReleaser Releaser;
+  (void)Releaser;
+  ShardRegistry &Registry = registry();
+  std::lock_guard<std::mutex> Lock(Registry.Mu);
+  if (Registry.Free.empty()) {
+    Registry.All.push_back(new StatShard);
+    ThreadShard = Registry.All.back();
+  } else {
+    ThreadShard = Registry.Free.back();
+    Registry.Free.pop_back();
+  }
+  return ThreadShard;
+}
+
+std::size_t egacs::statsdetail::statShardCount() {
+  ShardRegistry &Registry = registry();
+  std::lock_guard<std::mutex> Lock(Registry.Mu);
+  return Registry.All.size();
 }
 
 std::uint64_t egacs::statGet(Stat S) {
-  return Counters[static_cast<unsigned>(S)].load(std::memory_order_relaxed);
+  return StatsSnapshot::capture().get(S);
 }
 
 void egacs::statsReset() {
-  for (auto &Counter : Counters)
-    Counter.store(0, std::memory_order_relaxed);
+  ShardRegistry &Registry = registry();
+  std::lock_guard<std::mutex> Lock(Registry.Mu);
+  for (StatShard *Shard : Registry.All)
+    for (std::atomic<std::uint64_t> &Counter : Shard->Values)
+      Counter.store(0, std::memory_order_relaxed);
 }
 
 StatsSnapshot StatsSnapshot::capture() {
   StatsSnapshot Snapshot;
-  for (unsigned I = 0; I < NumStats; ++I)
-    Snapshot.Values[I] = Counters[I].load(std::memory_order_relaxed);
+  ShardRegistry &Registry = registry();
+  std::lock_guard<std::mutex> Lock(Registry.Mu);
+  for (const StatShard *Shard : Registry.All)
+    for (unsigned I = 0; I < NumStats; ++I)
+      Snapshot.Values[I] += Shard->Values[I].load(std::memory_order_relaxed);
   return Snapshot;
 }
 

@@ -11,12 +11,25 @@
 /// dynamic SPMD operation counts (Fig 7, standing in for Intel Pin). All
 /// counters compile away when EGACS_STATS is not defined.
 ///
+/// Each counter is global in meaning but sharded in storage: every thread
+/// adds into its own cache-line-aligned StatShard, so statAdd is an inlined
+/// thread-local load, add and store with no locked instruction and no cache
+/// line shared with another writer. The cost of a counted event is that of a
+/// private memory increment, which is why the CAS loops, worklists and
+/// scheduler can count unconditionally. Readers (StatsSnapshot::capture,
+/// statGet, statsReset) walk every shard under a mutex. A thread registers
+/// its shard on its first add; when it exits, the shard goes back to a free
+/// list with its counts intact and the next new thread keeps adding into it,
+/// so threads spawned per launch lose no counts and the shard list stays as
+/// long as the peak number of threads that ever counted at once.
+///
 //===----------------------------------------------------------------------===//
 
 #ifndef EGACS_SUPPORT_STATS_H
 #define EGACS_SUPPORT_STATS_H
 
 #include <atomic>
+#include <cstddef>
 #include <cstdint>
 #include <string>
 #include <vector>
@@ -109,13 +122,46 @@ enum class Stat : unsigned {
 /// Returns the human-readable name of \p S.
 const char *statName(Stat S);
 
-/// Adds \p Delta to counter \p S (relaxed; counters are diagnostics only).
-void statAdd(Stat S, std::uint64_t Delta);
+namespace statsdetail {
 
-/// Returns the current value of counter \p S.
+constexpr unsigned NumStats = static_cast<unsigned>(Stat::NumStats);
+
+/// One thread's counters. Only the owning thread writes them; the atomics
+/// let readers on other threads load them without a data race.
+struct alignas(64) StatShard {
+  std::atomic<std::uint64_t> Values[NumStats] = {};
+};
+
+/// The calling thread's shard, or null before its first add.
+inline constinit thread_local StatShard *ThreadShard = nullptr;
+
+/// Gives the calling thread a shard (recycled or new) and arranges for its
+/// release at thread exit. The slow path of the first statAdd.
+StatShard *registerThreadShard();
+
+/// Number of shards ever handed out, live or free (tests bound it by the
+/// peak number of concurrently counting threads).
+std::size_t statShardCount();
+
+} // namespace statsdetail
+
+/// Adds \p Delta to counter \p S in the calling thread's shard.
+inline void statAdd(Stat S, std::uint64_t Delta) {
+  statsdetail::StatShard *Shard = statsdetail::ThreadShard;
+  if (!Shard) [[unlikely]]
+    Shard = statsdetail::registerThreadShard();
+  std::atomic<std::uint64_t> &Counter =
+      Shard->Values[static_cast<unsigned>(S)];
+  // Single writer: a plain load and store, not a locked fetch_add.
+  Counter.store(Counter.load(std::memory_order_relaxed) + Delta,
+                std::memory_order_relaxed);
+}
+
+/// Returns the current value of counter \p S, summed over every shard.
 std::uint64_t statGet(Stat S);
 
-/// Resets every counter to zero.
+/// Resets every counter to zero. Meant for quiescent points: an add racing
+/// with the reset on another thread may survive it.
 void statsReset();
 
 /// A point-in-time snapshot of every counter, used to measure one kernel run.

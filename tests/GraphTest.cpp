@@ -122,6 +122,23 @@ TEST(CsrBuild, EdgeCountBoundaryIsExact) {
   EXPECT_FALSE(csrEdgeCountValid((Max / 2 + 1) * 2));
 }
 
+TEST(CsrBuild, OversizedGeneratorRequestsThrowBeforeAllocating) {
+  // Each request overflows the index space and is rejected before a single
+  // edge is materialized: 2^28 x 16 = 2^32 rmat arcs, 2^30 x 4 = 2^32
+  // uniform arcs, and a 65536 x 65536 grid of 2^32 nodes.
+  EXPECT_THROW(rmatGraph(28, 16), GraphSizeError);
+  EXPECT_THROW(uniformRandomGraph(NodeId{1} << 30, 4), GraphSizeError);
+  EXPECT_THROW(roadGraph(65536, 65536), GraphSizeError);
+  try {
+    rmatGraph(28, 16);
+  } catch (const std::length_error &Err) {
+    EXPECT_STREQ(Err.what(),
+                 "rmatGraph: 4294967296 requested arcs (up to 8589934592 "
+                 "after symmetrization) exceed the 32-bit EdgeId index "
+                 "space; lower the scale or edge factor");
+  }
+}
+
 TEST(CsrFootprint, CountsAllArrays) {
   Csr G = buildCsr(100, {{0, 1, 5}});
   // rows (101) + dsts (1) + weights (1), 4 bytes each.

@@ -124,6 +124,9 @@ TEST(PrefetchPlanTest, AddPropSkipsNullAndOverflow) {
 }
 
 TEST(PrefetchCountersTest, DuplicateLinesAreSuppressed) {
+#ifndef EGACS_STATS
+  GTEST_SKIP() << "stats compiled out";
+#endif
   statsReset();
   alignas(64) char Buf[256];
   {
@@ -145,6 +148,9 @@ TEST(PrefetchCountersTest, DuplicateLinesAreSuppressed) {
 //===----------------------------------------------------------------------===//
 
 TEST(PrefetchKernels, StagedRunsIssuePrefetchesAndNoneDoesNot) {
+#ifndef EGACS_STATS
+  GTEST_SKIP() << "stats compiled out";
+#endif
   Csr G = rmatGraph(/*Scale=*/9, /*EdgeFactor=*/6, /*Seed=*/9);
   TargetKind Target = targetSupported(TargetKind::Avx512x16)
                           ? TargetKind::Avx512x16

@@ -5,6 +5,7 @@
 //
 //===----------------------------------------------------------------------===//
 
+#include "runtime/TaskSystem.h"
 #include "support/AlignedBuffer.h"
 #include "support/Options.h"
 #include "support/PrefixSum.h"
@@ -16,6 +17,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <memory>
 #include <set>
 #include <thread>
 
@@ -190,6 +192,44 @@ TEST(Stats, ConcurrentAddsDoNotLose) {
   for (std::thread &Th : Threads)
     Th.join();
   EXPECT_EQ(statGet(Stat::ItemsPushed), 40000u);
+  statsReset();
+}
+
+TEST(StatShards, LiveWorkersCountsVisibleWithoutJoin) {
+  // Pool workers park between launches and never exit during the test, so
+  // their counts must be read from their live shards.
+  for (TaskSystemKind Kind : {TaskSystemKind::Pool, TaskSystemKind::SpinPool}) {
+    std::unique_ptr<TaskSystem> Ts = makeTaskSystem(Kind, 4);
+    StatsSnapshot Before = StatsSnapshot::capture();
+    Ts->launch(8, [](int, int) { statAdd(Stat::ItemsPushed, 3); });
+    StatsSnapshot Delta = StatsSnapshot::capture() - Before;
+    EXPECT_EQ(Delta.get(Stat::ItemsPushed), 24u) << Ts->name();
+  }
+}
+
+TEST(StatShards, SpawnedThreadsLoseNoCountsAndRecycleShards) {
+  SpawnTaskSystem Ts(4);
+  StatsSnapshot Before = StatsSnapshot::capture();
+  std::size_t ShardsBefore = statsdetail::statShardCount();
+  for (int Launch = 0; Launch < 1000; ++Launch)
+    Ts.launch(4, [](int, int) { statAdd(Stat::ItemsPushed, 1); });
+  StatsSnapshot Delta = StatsSnapshot::capture() - Before;
+  EXPECT_EQ(Delta.get(Stat::ItemsPushed), 4000u);
+  // Every launch's threads have exited, so each new thread reuses a freed
+  // shard: at most the 4 concurrent tasks' worth of new shards ever exist.
+  EXPECT_LE(statsdetail::statShardCount(), ShardsBefore + 4);
+}
+
+TEST(StatShards, ResetZeroesIdleLiveThreads) {
+  ThreadPoolTaskSystem Ts(4);
+  Ts.launch(4, [](int, int) { statAdd(Stat::ChunksStolen, 5); });
+  ASSERT_GE(statGet(Stat::ChunksStolen), 20u);
+  statsReset();
+  EXPECT_EQ(statGet(Stat::ChunksStolen), 0u);
+  EXPECT_EQ(StatsSnapshot::capture().get(Stat::ChunksStolen), 0u);
+  // The idle workers keep counting from zero after the reset.
+  Ts.launch(4, [](int, int) { statAdd(Stat::ChunksStolen, 1); });
+  EXPECT_EQ(statGet(Stat::ChunksStolen), 4u);
   statsReset();
 }
 

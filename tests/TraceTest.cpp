@@ -79,6 +79,9 @@ TEST(Trace, RoundCountMatchesFrontierRounds) {
 }
 
 TEST(Trace, RoundDeltasSumToRunAggregate) {
+#ifndef EGACS_STATS
+  GTEST_SKIP() << "stats compiled out";
+#endif
   // Per-round StatsSnapshot deltas must partition the whole run's counter
   // movement: the round windows are contiguous (each roundMark closes one
   // and opens the next), so nothing is counted twice or dropped.

@@ -47,6 +47,9 @@ TEST(WorklistPush, NaiveAndCoopProduceSameMultiset) {
 }
 
 TEST(WorklistPush, CoopUsesOneAtomicPerVector) {
+#ifndef EGACS_STATS
+  GTEST_SKIP() << "stats compiled out";
+#endif
   statsReset();
   Worklist WL(1024);
   VInt<BK> V = programIndex<BK>();
@@ -75,6 +78,9 @@ TEST(WorklistPush, EmptyMaskPushesNothing) {
 }
 
 TEST(WorklistPush, LocalBufferFlushesWithOneAtomic) {
+#ifndef EGACS_STATS
+  GTEST_SKIP() << "stats compiled out";
+#endif
   statsReset();
   Worklist WL(4096);
   LocalPushBuffer Local(512);
@@ -226,6 +232,9 @@ TEST(EdgeSchedulers, NpVisitsExactlyTheSameEdgesAsPlain) {
 }
 
 TEST(EdgeSchedulers, NpImprovesLaneUtilizationOnSkewedGraphs) {
+#ifndef EGACS_STATS
+  GTEST_SKIP() << "stats compiled out";
+#endif
   Csr G = rmatGraph(9, 8, 77);
   auto Utilization = [&](bool UseNp) {
     statsReset();

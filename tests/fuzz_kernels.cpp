@@ -176,7 +176,9 @@ int runSelftest() {
 // Campaign mode
 //===----------------------------------------------------------------------===//
 
-int main(int Argc, char **Argv) {
+namespace {
+
+int fuzzMain(int Argc, char **Argv) {
   Options Opt(Argc, Argv);
   if (Opt.getBool("selftest", false))
     return runSelftest();
@@ -270,4 +272,15 @@ int main(int Argc, char **Argv) {
                   Trace->rounds().size());
   }
   return Failures.empty() ? 0 : 1;
+}
+
+} // namespace
+
+int main(int Argc, char **Argv) {
+  try {
+    return fuzzMain(Argc, Argv);
+  } catch (const GraphSizeError &Err) {
+    std::fprintf(stderr, "error: %s\n", Err.what());
+    return 2;
+  }
 }
