@@ -25,6 +25,13 @@ struct BaselineCase {
   int NumTasks;
 };
 
+// gtest's default printer dumps the raw bytes, which include the heap address
+// of the string buffer; ctest test names embed that text, so without this the
+// names would change on every test discovery.
+void PrintTo(const BaselineCase &C, std::ostream *OS) {
+  *OS << C.Graph << " graph, " << C.NumTasks << " tasks";
+}
+
 Csr makeGraph(const std::string &Name) {
   if (Name == "road")
     return roadGraph(20, 15, 0.05, 3);
