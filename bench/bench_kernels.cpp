@@ -5,13 +5,18 @@
 //
 // A google-benchmark registered suite over the SPMD primitives and the
 // graph kernels, for fine-grained regression tracking of the pieces the
-// paper's figures aggregate: gathers, packed stores, cooperative pushes,
-// and whole-kernel throughput on each SIMD target.
+// paper's figures aggregate: gathers (hardware and relaxed-atomic lane
+// loops), relaxed scatters, CAS-loop min and float add, packed stores,
+// cooperative and naive pushes, and whole-kernel throughput on each SIMD
+// target. The primitive families alone (seconds, unlike kernel/):
+//
+//   bench_kernels --benchmark_filter='^(gather|scatter|cas|fadd|packed|push)'
 //
 //===----------------------------------------------------------------------===//
 
 #include "graph/Generators.h"
 #include "kernels/Kernels.h"
+#include "simd/Atomics.h"
 #include "simd/Targets.h"
 #include "support/CpuInfo.h"
 #include "support/Rng.h"
@@ -19,6 +24,8 @@
 
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
+#include <cstdint>
 #include <functional>
 #include <string>
 
@@ -61,6 +68,89 @@ template <typename BK> void BM_Gather(benchmark::State &State) {
   for (auto _ : State) {
     Idx = gather<BK>(Table.data(), Idx, All);
     benchmark::DoNotOptimize(Idx);
+  }
+  State.SetItemsProcessed(State.iterations() * BK::Width);
+}
+
+/// The relaxed-atomic lane loop behind bfs-tp's level filter and cc's label
+/// reads, on the same dependent index chain as BM_Gather.
+template <typename BK> void BM_GatherRelaxed(benchmark::State &State) {
+  if (!backendSupported<BK>()) {
+    State.SkipWithError("target unsupported");
+    return;
+  }
+  auto &Table = indexTable();
+  VInt<BK> Idx = simd::load<BK>(Table.data());
+  VMask<BK> All = maskAll<BK>();
+  for (auto _ : State) {
+    Idx = gatherRelaxed<BK>(Table.data(), Idx, All);
+    benchmark::DoNotOptimize(Idx);
+  }
+  State.SetItemsProcessed(State.iterations() * BK::Width);
+}
+
+/// Lane-spread destinations (one cache line per lane) for the write-side
+/// primitives, so each lane's access is its own line and uncontended.
+template <typename BK> VInt<BK> spreadLanes() {
+  return programIndex<BK>() * splat<BK>(16);
+}
+
+template <typename BK> void BM_ScatterRelaxed(benchmark::State &State) {
+  if (!backendSupported<BK>()) {
+    State.SkipWithError("target unsupported");
+    return;
+  }
+  std::vector<std::int32_t> Dst(16 * BK::Width);
+  VInt<BK> Idx = spreadLanes<BK>();
+  VInt<BK> V = programIndex<BK>();
+  VMask<BK> All = maskAll<BK>();
+  for (auto _ : State) {
+    scatterRelaxed<BK>(Dst.data(), Idx, V, All);
+    benchmark::DoNotOptimize(Dst.data());
+    benchmark::ClobberMemory();
+  }
+  State.SetItemsProcessed(State.iterations() * BK::Width);
+}
+
+/// Uncontended atomicMinVector: the value drops every iteration, so every
+/// lane's CAS is issued and wins.
+template <typename BK> void BM_CasMin(benchmark::State &State) {
+  if (!backendSupported<BK>()) {
+    State.SkipWithError("target unsupported");
+    return;
+  }
+  std::vector<std::int32_t> Dst(16 * BK::Width, INT32_MAX);
+  VInt<BK> Idx = spreadLanes<BK>();
+  VMask<BK> All = maskAll<BK>();
+  std::int32_t Next = INT32_MAX - 1;
+  for (auto _ : State) {
+    VMask<BK> Won = atomicMinVector<BK>(Dst.data(), Idx, splat<BK>(Next), All);
+    benchmark::DoNotOptimize(Won);
+    benchmark::ClobberMemory();
+    if (--Next < 0) {
+      State.PauseTiming();
+      std::fill(Dst.begin(), Dst.end(), INT32_MAX);
+      Next = INT32_MAX - 1;
+      State.ResumeTiming();
+    }
+  }
+  State.SetItemsProcessed(State.iterations() * BK::Width);
+}
+
+/// Uncontended atomicAddVectorF: one float CAS loop per lane.
+template <typename BK> void BM_FloatAdd(benchmark::State &State) {
+  if (!backendSupported<BK>()) {
+    State.SkipWithError("target unsupported");
+    return;
+  }
+  std::vector<float> Dst(16 * BK::Width, 0.0f);
+  VInt<BK> Idx = spreadLanes<BK>();
+  VFloat<BK> V = splatF<BK>(1.0f);
+  VMask<BK> All = maskAll<BK>();
+  for (auto _ : State) {
+    atomicAddVectorF<BK>(Dst.data(), Idx, V, All);
+    benchmark::DoNotOptimize(Dst.data());
+    benchmark::ClobberMemory();
   }
   State.SetItemsProcessed(State.iterations() * BK::Width);
 }
@@ -132,6 +222,10 @@ void BM_Kernel(benchmark::State &State, KernelKind Kind, TargetKind Target) {
 
 #define EGACS_REGISTER_PRIMITIVES(BK, NAME)                                    \
   BENCHMARK(BM_Gather<BK>)->Name("gather/" NAME);                              \
+  BENCHMARK(BM_GatherRelaxed<BK>)->Name("gather_relaxed/" NAME);               \
+  BENCHMARK(BM_ScatterRelaxed<BK>)->Name("scatter_relaxed/" NAME);             \
+  BENCHMARK(BM_CasMin<BK>)->Name("cas_min/" NAME);                             \
+  BENCHMARK(BM_FloatAdd<BK>)->Name("fadd/" NAME);                              \
   BENCHMARK(BM_PackedStoreActive<BK>)->Name("packed_store/" NAME);             \
   BENCHMARK(BM_CoopPush<BK>)->Name("push_coop/" NAME);                         \
   BENCHMARK(BM_NaivePush<BK>)->Name("push_naive/" NAME)
@@ -142,6 +236,7 @@ EGACS_REGISTER_PRIMITIVES(Avx2Backend, "avx2-i32x8");
 EGACS_REGISTER_PRIMITIVES(Avx2PumpedBackend, "avx2-i32x16");
 #endif
 #ifdef EGACS_HAVE_AVX512
+EGACS_REGISTER_PRIMITIVES(Avx512HalfBackend, "avx512-i32x8");
 EGACS_REGISTER_PRIMITIVES(Avx512Backend, "avx512-i32x16");
 #endif
 

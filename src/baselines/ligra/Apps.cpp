@@ -209,22 +209,27 @@ std::vector<std::int32_t> egacs::ligra::ligraMis(const LigraContext &Ctx,
     // A node joins when it beats every not-yet-excluded neighbour. Treating
     // freshly joined (MisIn) neighbours as blockers too keeps the phase
     // race-free: if V joined concurrently, V beats U, so U must wait.
+    // Neighbour states are read while their owners write them, so both
+    // phases use relaxed atomic accesses (plain movs on x86).
     vertexMap(Ctx, Undecided, [&](NodeId U) {
       for (NodeId V : G.neighbors(U)) {
         if (V == U)
           continue;
-        if (State[static_cast<std::size_t>(V)] != MisOut && Beats(V, U))
+        if (simd::atomicLoadGlobal(&State[static_cast<std::size_t>(V)]) !=
+                MisOut &&
+            Beats(V, U))
           return;
       }
-      State[static_cast<std::size_t>(U)] = MisIn;
+      simd::atomicStoreGlobal(&State[static_cast<std::size_t>(U)], MisIn);
     });
     // Exclude neighbours of new members.
     vertexMap(Ctx, Undecided, [&](NodeId U) {
       if (State[static_cast<std::size_t>(U)] != MisUndecided)
         return;
       for (NodeId V : G.neighbors(U)) {
-        if (State[static_cast<std::size_t>(V)] == MisIn) {
-          State[static_cast<std::size_t>(U)] = MisOut;
+        if (simd::atomicLoadGlobal(&State[static_cast<std::size_t>(V)]) ==
+            MisIn) {
+          simd::atomicStoreGlobal(&State[static_cast<std::size_t>(U)], MisOut);
           return;
         }
       }

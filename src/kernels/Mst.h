@@ -109,35 +109,32 @@ MstResult boruvkaMst(const VT &G, const KernelConfig &Cfg) {
             return;
           VInt<BK> W = maskedLoad<BK>(G.edgeWeight() + EBase, Cross);
           std::uint64_t Bits = maskBits(Cross);
+          const auto WA = spill(W), CuA = spill(Cu), CvA = spill(Cv);
           if (Cfg.Update == UpdatePolicy::Atomic) {
             while (Bits) {
               int L = __builtin_ctzll(Bits);
               Bits &= Bits - 1;
-              std::int64_t Packed =
-                  (static_cast<std::int64_t>(extract(W, L)) << 32) |
-                  static_cast<std::int64_t>(EBase + L);
-              atomicMinGlobal64(
-                  &Best[static_cast<std::size_t>(extract(Cu, L))], Packed);
-              atomicMinGlobal64(
-                  &Best[static_cast<std::size_t>(extract(Cv, L))], Packed);
+              std::int64_t Packed = (static_cast<std::int64_t>(WA[L]) << 32) |
+                                    static_cast<std::int64_t>(EBase + L);
+              atomicMinGlobal64(&Best[static_cast<std::size_t>(CuA[L])],
+                                Packed);
+              atomicMinGlobal64(&Best[static_cast<std::size_t>(CvA[L])],
+                                Packed);
             }
           } else {
             // Conflict-combined: same-component lanes pre-reduce to their
             // lightest packed key, one 64-bit CAS chain per distinct
             // component per side.
-            alignas(64) std::int32_t CuA[BK::Width], CvA[BK::Width];
             std::int64_t PackedA[BK::Width];
-            BK::store(CuA, Cu.V);
-            BK::store(CvA, Cv.V);
             std::uint64_t Tmp = Bits;
             while (Tmp) {
               int L = __builtin_ctzll(Tmp);
               Tmp &= Tmp - 1;
-              PackedA[L] = (static_cast<std::int64_t>(extract(W, L)) << 32) |
+              PackedA[L] = (static_cast<std::int64_t>(WA[L]) << 32) |
                            static_cast<std::int64_t>(EBase + L);
             }
-            updateMin64Combined(Best.data(), CuA, PackedA, Bits);
-            updateMin64Combined(Best.data(), CvA, PackedA, Bits);
+            updateMin64Combined(Best.data(), CuA.Lane, PackedA, Bits);
+            updateMin64Combined(Best.data(), CvA.Lane, PackedA, Bits);
           }
         },
         R.Locals[TaskIdx]->Trace);

@@ -161,12 +161,17 @@ std::vector<float> pageRank(const VT &G, const KernelConfig &Cfg,
           VFloat<BK> Diff = New - Old;
           VFloat<BK> Neg = splatF<BK>(0.0f) - Diff;
           VFloat<BK> Abs = selectF<BK>(Diff > splatF<BK>(0.0f), Diff, Neg);
-          // Residual reduction: in-register max, one plain slot store per
-          // task below (reduced serially in the advance).
-          for (int L = 0; L < BK::Width; ++L) {
-            float V = extractF<BK>(Abs, L);
-            if (V > LocalMax)
-              LocalMax = V;
+          // Residual reduction over the active lanes only (an inactive
+          // lane's gathers read 0, so its |New - Old| is Base, not a
+          // residual); one plain slot store per task below (reduced
+          // serially in the advance).
+          const auto AbsA = spill(Abs);
+          std::uint64_t Bits = maskBits(Act);
+          while (Bits) {
+            int L = __builtin_ctzll(Bits);
+            Bits &= Bits - 1;
+            if (AbsA[L] > LocalMax)
+              LocalMax = AbsA[L];
           }
         });
     std::int32_t Bits;

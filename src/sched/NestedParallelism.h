@@ -171,49 +171,51 @@ void npForEachEdge(const VT &G, simd::VInt<BK> Node, simd::VMask<BK> Act,
           ? static_cast<EdgeId>(Pf->Dist > 0 ? (Pf->Dist + 1) / 2 : 0) *
                 BK::Width
           : 0;
-  std::uint64_t HeavyBits = maskBits(Heavy);
-  while (HeavyBits) {
-    int L = __builtin_ctzll(HeavyBits);
-    HeavyBits &= HeavyBits - 1;
-    NodeId N = extract(Node, L);
-    EdgeId EBegin = extract(Row, L);
-    EdgeId EEnd = extract(End, L);
-    VInt<BK> SrcV = splat<BK>(N);
-    VInt<BK> Lane = programIndex<BK>();
-    for (EdgeId E = EBegin; E < EEnd; E += BK::Width) {
-      if (Pf != nullptr) {
-        using namespace prefetchdetail;
-        if (E + PfFar < EEnd) {
-          pfLine<BK>(G.edgeDst() + E + PfFar, *PfC);
-          if (Pf->wantProps())
+  if (std::uint64_t HeavyBits = maskBits(Heavy)) {
+    const auto NodeA = spill(Node), RowA = spill(Row), EndA = spill(End);
+    while (HeavyBits) {
+      int L = __builtin_ctzll(HeavyBits);
+      HeavyBits &= HeavyBits - 1;
+      NodeId N = NodeA[L];
+      EdgeId EBegin = RowA[L];
+      EdgeId EEnd = EndA[L];
+      VInt<BK> SrcV = splat<BK>(N);
+      VInt<BK> Lane = programIndex<BK>();
+      for (EdgeId E = EBegin; E < EEnd; E += BK::Width) {
+        if (Pf != nullptr) {
+          using namespace prefetchdetail;
+          if (E + PfFar < EEnd) {
+            pfLine<BK>(G.edgeDst() + E + PfFar, *PfC);
+            if (Pf->wantProps())
+              for (int P = 0; P < Pf->NumProps; ++P)
+                if (Pf->Props[P].Kind == PrefetchIndexKind::Edge)
+                  pfLine<BK>(static_cast<const char *>(Pf->Props[P].Base) +
+                                 static_cast<std::int64_t>(E + PfFar) *
+                                     Pf->Props[P].ElemSize,
+                             *PfC);
+          }
+          if (Pf->wantProps() && E + PfNear < EEnd) {
+            int Peek = static_cast<int>(EEnd - (E + PfNear) < BK::Width
+                                            ? EEnd - (E + PfNear)
+                                            : BK::Width);
             for (int P = 0; P < Pf->NumProps; ++P)
-              if (Pf->Props[P].Kind == PrefetchIndexKind::Edge)
-                pfLine<BK>(static_cast<const char *>(Pf->Props[P].Base) +
-                               static_cast<std::int64_t>(E + PfFar) *
-                                   Pf->Props[P].ElemSize,
-                           *PfC);
+              if (Pf->Props[P].Kind == PrefetchIndexKind::Dst)
+                for (int J = 0; J < Peek; ++J)
+                  pfLine<BK>(static_cast<const char *>(Pf->Props[P].Base) +
+                                 static_cast<std::int64_t>(
+                                     G.edgeDst()[E + PfNear + J]) *
+                                     Pf->Props[P].ElemSize,
+                             *PfC);
+          }
         }
-        if (Pf->wantProps() && E + PfNear < EEnd) {
-          int Peek = static_cast<int>(EEnd - (E + PfNear) < BK::Width
-                                          ? EEnd - (E + PfNear)
-                                          : BK::Width);
-          for (int P = 0; P < Pf->NumProps; ++P)
-            if (Pf->Props[P].Kind == PrefetchIndexKind::Dst)
-              for (int J = 0; J < Peek; ++J)
-                pfLine<BK>(static_cast<const char *>(Pf->Props[P].Base) +
-                               static_cast<std::int64_t>(
-                                   G.edgeDst()[E + PfNear + J]) *
-                                   Pf->Props[P].ElemSize,
-                           *PfC);
-        }
+        int Valid = EEnd - E < BK::Width ? EEnd - E : BK::Width;
+        VMask<BK> EAct = maskFirstN<BK>(Valid);
+        VInt<BK> EIdx = splat<BK>(E) + Lane;
+        recordLaneUtilization<BK>(EAct);
+        recordNeighborContig<BK>(EAct);
+        VInt<BK> Dst = maskedLoad<BK>(G.edgeDst() + E, EAct);
+        Fn(SrcV, Dst, EIdx, EAct);
       }
-      int Valid = EEnd - E < BK::Width ? EEnd - E : BK::Width;
-      VMask<BK> EAct = maskFirstN<BK>(Valid);
-      VInt<BK> EIdx = splat<BK>(E) + Lane;
-      recordLaneUtilization<BK>(EAct);
-      recordNeighborContig<BK>(EAct);
-      VInt<BK> Dst = maskedLoad<BK>(G.edgeDst() + E, EAct);
-      Fn(SrcV, Dst, EIdx, EAct);
     }
   }
 

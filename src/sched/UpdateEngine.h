@@ -234,11 +234,13 @@ public:
       return;
     case UpdatePolicy::Privatized: {
       float *P = Priv[static_cast<std::size_t>(TaskIdx)].data();
+      const auto IdxA = spill(Idx);
+      const auto ValA = spill(Val);
       std::uint64_t Bits = maskBits(M);
       while (Bits) {
         int L = __builtin_ctzll(Bits);
         Bits &= Bits - 1;
-        P[extract(Idx, L)] += extractF(Val, L);
+        P[IdxA[L]] += ValA[L];
       }
       return;
     }
@@ -246,13 +248,15 @@ public:
       Bin *TaskBins = Bins.data() +
                       static_cast<std::size_t>(TaskIdx) *
                           static_cast<std::size_t>(NumBins);
+      const auto IdxA = spill(Idx);
+      const auto ValA = spill(Val);
       std::uint64_t Bits = maskBits(M);
       std::uint32_t Staged = 0;
       while (Bits) {
         int L = __builtin_ctzll(Bits);
         Bits &= Bits - 1;
-        std::int32_t D = extract(Idx, L);
-        TaskBins[D >> BlockShift].push_back({D, extractF(Val, L)});
+        std::int32_t D = IdxA[L];
+        TaskBins[D >> BlockShift].push_back({D, ValA[L]});
         ++Staged;
       }
       EGACS_STAT_ADD(UpdatePairsBinned, Staged);

@@ -18,6 +18,15 @@
 /// Lock-free min/CAS variants return the mask of lanes whose update won,
 /// which is what relaxation-based graph kernels (BFS/SSSP/CC/MST) branch on.
 ///
+/// Every class-2 loop follows the spill-once rule (see "Lane access" in
+/// simd/Ops.h): each input vector is stored once to a LaneArray, a vector
+/// result is collected in one and reloaded once, and each active lane then
+/// issues its own relaxed `__atomic_*` access in ascending lane order. The
+/// independent scalar loads that the paper's Table VI measures as cheap stay
+/// cheap that way; re-storing the vector per lane (extract) or patching a
+/// lane into it per iteration (store, overwrite, reload) serialises the
+/// loop on store-forwarding stalls.
+///
 /// This header also provides the contention-aware refinements behind
 /// `UpdatePolicy` (sched/UpdateEngine.h):
 ///
@@ -212,16 +221,15 @@ template <typename B>
 VInt<B> atomicAddVector(std::int32_t *Base, VInt<B> Idx, VInt<B> Val,
                         VMask<B> M) {
   detail::countOps(1);
-  VInt<B> Old = splat<B>(0);
+  const auto IdxA = spill(Idx), ValA = spill(Val);
+  LaneArray<B, std::int32_t> Old{};
   std::uint64_t Bits = maskBits(M);
   while (Bits) {
     int L = __builtin_ctzll(Bits);
     Bits &= Bits - 1;
-    std::int32_t OldV =
-        atomicAddGlobal(Base + extract(Idx, L), extract(Val, L));
-    Old = insert(Old, L, OldV);
+    Old[L] = atomicAddGlobal(Base + IdxA[L], ValA[L]);
   }
-  return Old;
+  return reload(Old);
 }
 
 /// Per-active-lane relaxed-atomic gather of Base[Idx[l]]. Pairs racy-by-
@@ -232,14 +240,15 @@ VInt<B> atomicAddVector(std::int32_t *Base, VInt<B> Idx, VInt<B> Val,
 template <typename B>
 VInt<B> gatherRelaxed(const std::int32_t *Base, VInt<B> Idx, VMask<B> M) {
   detail::countGather();
-  VInt<B> Out = splat<B>(0);
+  const auto IdxA = spill(Idx);
+  LaneArray<B, std::int32_t> Out{};
   std::uint64_t Bits = maskBits(M);
   while (Bits) {
     int L = __builtin_ctzll(Bits);
     Bits &= Bits - 1;
-    Out = insert(Out, L, atomicLoadGlobal(Base + extract(Idx, L)));
+    Out[L] = atomicLoadGlobal(Base + IdxA[L]);
   }
-  return Out;
+  return reload(Out);
 }
 
 /// Per-active-lane relaxed-atomic scatter Base[Idx[l]] = Val[l]. The writer
@@ -251,11 +260,12 @@ VInt<B> gatherRelaxed(const std::int32_t *Base, VInt<B> Idx, VMask<B> M) {
 template <typename B>
 void scatterRelaxed(std::int32_t *Base, VInt<B> Idx, VInt<B> Val, VMask<B> M) {
   detail::countScatter();
+  const auto IdxA = spill(Idx), ValA = spill(Val);
   std::uint64_t Bits = maskBits(M);
   while (Bits) {
     int L = __builtin_ctzll(Bits);
     Bits &= Bits - 1;
-    atomicStoreGlobal(Base + extract(Idx, L), extract(Val, L));
+    atomicStoreGlobal(Base + IdxA[L], ValA[L]);
   }
 }
 
@@ -265,12 +275,13 @@ template <typename B>
 VMask<B> atomicMinVector(std::int32_t *Base, VInt<B> Idx, VInt<B> Val,
                          VMask<B> M) {
   detail::countOps(1);
+  const auto IdxA = spill(Idx), ValA = spill(Val);
   std::uint64_t Bits = maskBits(M);
   std::uint64_t Won = 0;
   while (Bits) {
     int L = __builtin_ctzll(Bits);
     Bits &= Bits - 1;
-    if (atomicMinGlobal(Base + extract(Idx, L), extract(Val, L)))
+    if (atomicMinGlobal(Base + IdxA[L], ValA[L]))
       Won |= std::uint64_t(1) << L;
   }
   return maskFromBits<B>(Won);
@@ -282,13 +293,13 @@ template <typename B>
 VMask<B> atomicCasVector(std::int32_t *Base, VInt<B> Idx, VInt<B> Expected,
                          VInt<B> Desired, VMask<B> M) {
   detail::countOps(1);
+  const auto IdxA = spill(Idx), ExpA = spill(Expected), DesA = spill(Desired);
   std::uint64_t Bits = maskBits(M);
   std::uint64_t Won = 0;
   while (Bits) {
     int L = __builtin_ctzll(Bits);
     Bits &= Bits - 1;
-    if (atomicCasGlobal(Base + extract(Idx, L), extract(Expected, L),
-                        extract(Desired, L)))
+    if (atomicCasGlobal(Base + IdxA[L], ExpA[L], DesA[L]))
       Won |= std::uint64_t(1) << L;
   }
   return maskFromBits<B>(Won);
@@ -298,11 +309,13 @@ VMask<B> atomicCasVector(std::int32_t *Base, VInt<B> Idx, VInt<B> Expected,
 template <typename B>
 void atomicAddVectorF(float *Base, VInt<B> Idx, VFloat<B> Val, VMask<B> M) {
   detail::countOps(1);
+  const auto IdxA = spill(Idx);
+  const auto ValA = spill(Val);
   std::uint64_t Bits = maskBits(M);
   while (Bits) {
     int L = __builtin_ctzll(Bits);
     Bits &= Bits - 1;
-    atomicAddGlobalF(Base + extract(Idx, L), extractF(Val, L));
+    atomicAddGlobalF(Base + IdxA[L], ValA[L]);
   }
 }
 
@@ -369,10 +382,8 @@ void atomicAddVectorFCombined(float *Base, VInt<B> Idx, VFloat<B> Val,
   }
   std::uint32_t Conf[B::Width];
   detail::ConflictDetect<B>::run(Idx.V, Conf);
-  alignas(64) std::int32_t IdxA[B::Width];
-  alignas(64) float ValA[B::Width];
-  B::store(IdxA, Idx.V);
-  B::storeF(ValA, Val.V);
+  const auto IdxA = spill(Idx);
+  const auto ValA = spill(Val);
   const std::uint32_t ActBits = static_cast<std::uint32_t>(Act);
   std::uint32_t Saved = 0;
   std::uint64_t Todo = Act;
@@ -422,10 +433,7 @@ VMask<B> atomicMinVectorCombined(std::int32_t *Base, VInt<B> Idx, VInt<B> Val,
   }
   std::uint32_t Conf[B::Width];
   detail::ConflictDetect<B>::run(Idx.V, Conf);
-  alignas(64) std::int32_t IdxA[B::Width];
-  alignas(64) std::int32_t ValA[B::Width];
-  B::store(IdxA, Idx.V);
-  B::store(ValA, Val.V);
+  const auto IdxA = spill(Idx), ValA = spill(Val);
   const std::uint32_t ActBits = static_cast<std::uint32_t>(Act);
   std::uint32_t Saved = 0;
   std::uint64_t Todo = Act;

@@ -238,12 +238,6 @@ struct Avx2Backend {
     storeF(Tmp, V);
     return Tmp[LaneIdx];
   }
-  static VInt insert(VInt V, int LaneIdx, std::int32_t X) {
-    alignas(32) std::int32_t Tmp[8];
-    store(Tmp, V);
-    Tmp[LaneIdx] = X;
-    return load(Tmp);
-  }
 
   // --- Reductions --------------------------------------------------------------------
 
@@ -438,12 +432,6 @@ struct Avx2HalfBackend {
     alignas(16) float Tmp[4];
     storeF(Tmp, V);
     return Tmp[LaneIdx];
-  }
-  static VInt insert(VInt V, int LaneIdx, std::int32_t X) {
-    alignas(16) std::int32_t Tmp[4];
-    store(Tmp, V);
-    Tmp[LaneIdx] = X;
-    return load(Tmp);
   }
 
   static std::int32_t reduceAdd(VInt V, Mask M) {

@@ -171,12 +171,6 @@ struct Avx512Backend {
     storeF(Tmp, V);
     return Tmp[LaneIdx];
   }
-  static VInt insert(VInt V, int LaneIdx, std::int32_t X) {
-    alignas(64) std::int32_t Tmp[16];
-    store(Tmp, V);
-    Tmp[LaneIdx] = X;
-    return load(Tmp);
-  }
 
   static std::int32_t reduceAdd(VInt V, Mask M) {
     return _mm512_mask_reduce_add_epi32(M, V);
@@ -347,12 +341,6 @@ struct Avx512HalfBackend {
     alignas(32) float Tmp[8];
     storeF(Tmp, V);
     return Tmp[LaneIdx];
-  }
-  static VInt insert(VInt V, int LaneIdx, std::int32_t X) {
-    alignas(32) std::int32_t Tmp[8];
-    store(Tmp, V);
-    Tmp[LaneIdx] = X;
-    return load(Tmp);
   }
 
   static std::int32_t reduceAdd(VInt V, Mask M) {

@@ -314,6 +314,19 @@ template <typename B> std::uint64_t maskBits(VMask<B> M) {
 }
 
 // --- Lane access -------------------------------------------------------------------
+//
+// The spill-once rule for lane loops. CPUs have no vector atomics, so every
+// "vector locations, vector values" operation (simd/Atomics.h) and every
+// per-lane push, bin or bit-set is a scalar loop over the active lanes. Such
+// a loop spills each input vector ONCE into a LaneArray and reads its lanes
+// from there; a loop with a vector result writes the lanes into a LaneArray
+// and reloads it ONCE at the end. extract() stores the whole vector again on
+// every call, and patching one lane per iteration (store, overwrite a lane,
+// reload) chains the lanes: each reload spans two stores, store forwarding
+// cannot serve it, and the next lane waits for it. extract() is for
+// single-lane reads only. spill() and reload() call B::store / B::load
+// directly, which are not op-counted, so a lane loop counts exactly the ops
+// of the operation it implements (the Fig 7 counts).
 
 template <typename B> std::int32_t extract(VInt<B> V, int Lane) {
   return B::extract(V.V, Lane);
@@ -321,8 +334,30 @@ template <typename B> std::int32_t extract(VInt<B> V, int Lane) {
 template <typename B> float extractF(VFloat<B> V, int Lane) {
   return B::extractF(V.V, Lane);
 }
-template <typename B> VInt<B> insert(VInt<B> V, int Lane, std::int32_t X) {
-  return {B::insert(V.V, Lane, X)};
+
+/// One vector's lanes in an aligned stack array, for per-lane scalar loops.
+template <typename B, typename T> struct LaneArray {
+  alignas(64) T Lane[B::Width];
+
+  T operator[](int L) const { return Lane[L]; }
+  T &operator[](int L) { return Lane[L]; }
+};
+
+/// Stores \p V once into a lane array (not op-counted).
+template <typename B> LaneArray<B, std::int32_t> spill(VInt<B> V) {
+  LaneArray<B, std::int32_t> A;
+  B::store(A.Lane, V.V);
+  return A;
+}
+template <typename B> LaneArray<B, float> spill(VFloat<B> V) {
+  LaneArray<B, float> A;
+  B::storeF(A.Lane, V.V);
+  return A;
+}
+
+/// Loads a lane array back as one vector (not op-counted).
+template <typename B> VInt<B> reload(const LaneArray<B, std::int32_t> &A) {
+  return {B::load(A.Lane)};
 }
 
 // --- Reductions ------------------------------------------------------------------------
@@ -413,20 +448,26 @@ struct PrefetchDetect<B, std::void_t<decltype(B::prefetch(
   static void run(const void *P, int Locality) { B::prefetch(P, Locality); }
 };
 
-/// Same probe for the vector gather-prefetch hook. The fallback walks the
-/// active lanes through PrefetchDetect, so a backend with only the scalar
-/// hook still prefetches every lane, and a backend with neither no-ops.
+/// Same probe for the vector gather-prefetch hook. The fallback spills the
+/// indices once and walks the active lanes through PrefetchDetect, so a
+/// backend with only the scalar hook still prefetches every lane, and a
+/// backend with neither no-ops without touching the indices.
 template <typename B, typename = void> struct GatherPrefetchDetect {
   static constexpr bool Native = false;
   static void run(const void *Base, typename B::VInt Idx, typename B::Mask M,
                   int ElemSize) {
-    const char *P = static_cast<const char *>(Base);
-    std::uint64_t Bits = B::maskBits(M);
-    while (Bits) {
-      int L = __builtin_ctzll(Bits);
-      Bits &= Bits - 1;
-      PrefetchDetect<B>::run(
-          P + static_cast<std::int64_t>(B::extract(Idx, L)) * ElemSize, 3);
+    if constexpr (PrefetchDetect<B>::Native) {
+      const auto IdxA = spill(VInt<B>(Idx));
+      const char *P = static_cast<const char *>(Base);
+      std::uint64_t Bits = B::maskBits(M);
+      while (Bits) {
+        int L = __builtin_ctzll(Bits);
+        Bits &= Bits - 1;
+        PrefetchDetect<B>::run(
+            P + static_cast<std::int64_t>(IdxA[L]) * ElemSize, 3);
+      }
+    } else {
+      (void)Base, (void)Idx, (void)M, (void)ElemSize;
     }
   }
 };

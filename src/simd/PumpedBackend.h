@@ -183,13 +183,6 @@ template <typename B, const char *BackendName> struct PumpedBackend {
     return LaneIdx < B::Width ? B::extractF(V.Lo, LaneIdx)
                               : B::extractF(V.Hi, LaneIdx - B::Width);
   }
-  static VInt insert(VInt V, int LaneIdx, std::int32_t X) {
-    if (LaneIdx < B::Width)
-      V.Lo = B::insert(V.Lo, LaneIdx, X);
-    else
-      V.Hi = B::insert(V.Hi, LaneIdx - B::Width, X);
-    return V;
-  }
 
   static std::int32_t reduceAdd(VInt V, Mask M) {
     return B::reduceAdd(V.Lo, M.Lo) + B::reduceAdd(V.Hi, M.Hi);

@@ -372,10 +372,6 @@ template <int W> struct ScalarBackend {
 
   static std::int32_t extract(VInt V, int LaneIdx) { return V.Lane[LaneIdx]; }
   static float extractF(VFloat V, int LaneIdx) { return V.Lane[LaneIdx]; }
-  static VInt insert(VInt V, int LaneIdx, std::int32_t X) {
-    V.Lane[LaneIdx] = X;
-    return V;
-  }
 
   // --- Reductions ------------------------------------------------------------
 

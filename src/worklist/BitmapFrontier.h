@@ -63,7 +63,7 @@ public:
     // never share a line through their counters.
     Counts.allocate(static_cast<std::size_t>(TaskCount) * CountStride);
     SliceCounts.allocate(static_cast<std::size_t>(TaskCount) * CountStride);
-    std::memset(Words.data(), 0, Words.size() * sizeof(std::int32_t));
+    Words.zero();
     resetCounts();
   }
 
@@ -94,7 +94,7 @@ public:
 
   /// Serial full clear (parallel callers use clearSlice under a barrier).
   void clearSerial() {
-    std::memset(Words.data(), 0, Words.size() * sizeof(std::int32_t));
+    Words.zero();
     resetCounts();
   }
 
@@ -156,12 +156,13 @@ public:
   /// vector, are not double-counted.
   template <typename BK>
   int setVector(simd::VInt<BK> Nodes, simd::VMask<BK> M) {
+    const auto NodeA = simd::spill(Nodes);
     std::uint64_t Bits = simd::maskBits(M);
     int Fresh = 0;
     while (Bits) {
       int L = __builtin_ctzll(Bits);
       Bits &= Bits - 1;
-      NodeId Node = simd::extract(Nodes, L);
+      NodeId Node = NodeA[L];
       std::int32_t Bit = std::int32_t(1) << (Node & 31);
       std::int32_t Old = __atomic_fetch_or(
           Words.data() + static_cast<std::size_t>(Node >> 5), Bit,

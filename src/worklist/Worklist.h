@@ -125,11 +125,12 @@ void pushNaive(Worklist &WL, simd::VInt<BK> Values, simd::VMask<BK> M) {
                                    __builtin_popcountll(Bits)));
   EGACS_STAT_ADD(ItemsPushed, static_cast<std::uint64_t>(
                                   __builtin_popcountll(Bits)));
+  const auto ValA = simd::spill(Values);
   while (Bits) {
     int L = __builtin_ctzll(Bits);
     Bits &= Bits - 1;
     std::int32_t Idx = WL.reserve(1);
-    WL.items()[Idx] = simd::extract(Values, L);
+    WL.items()[Idx] = ValA[L];
   }
 }
 

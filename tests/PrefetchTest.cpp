@@ -62,7 +62,6 @@ struct NoPrefetchBackend {
     std::uint64_t Bits;
   };
   static std::uint64_t maskBits(Mask M) { return M.Bits; }
-  static std::int32_t extract(VInt V, int L) { return V.Lane[L]; }
 };
 
 static_assert(!hasNativePrefetch<NoPrefetchBackend>(),

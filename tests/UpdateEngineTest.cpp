@@ -17,6 +17,7 @@
 //
 //===----------------------------------------------------------------------===//
 
+#include "AllBackends.h"
 #include "graph/Generators.h"
 #include "kernels/Kernels.h"
 #include "sched/UpdateEngine.h"
@@ -37,17 +38,6 @@ using namespace egacs;
 using namespace egacs::simd;
 
 namespace {
-
-/// Runtime guard: AVX backends are compiled whenever the toolchain supports
-/// them, but must not execute on a CPU that lacks the ISA.
-template <typename BK> bool backendRunnable() {
-  std::string Name = BK::Name;
-  if (Name.find("avx512") != std::string::npos)
-    return cpuInfo().HasAvx512f;
-  if (Name.find("avx2") != std::string::npos)
-    return cpuInfo().HasAvx2;
-  return true;
-}
 
 //===----------------------------------------------------------------------===//
 // parseUpdatePolicy contract.
@@ -79,18 +69,6 @@ protected:
   }
 };
 
-using AllBackends = ::testing::Types<ScalarBackend<1>, ScalarBackend<4>,
-                                     ScalarBackend<8>, ScalarBackend<16>
-#ifdef EGACS_HAVE_AVX2
-                                     ,
-                                     Avx2HalfBackend, Avx2Backend,
-                                     Avx2PumpedBackend
-#endif
-#ifdef EGACS_HAVE_AVX512
-                                     ,
-                                     Avx512HalfBackend, Avx512Backend
-#endif
-                                     >;
 TYPED_TEST_SUITE(ConflictCombineTest, AllBackends);
 
 /// The conflict-detection hook (vpconflictd on AVX512, a lane loop
