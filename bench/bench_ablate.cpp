@@ -402,9 +402,11 @@ Axis schedAxis() {
 // road duplicates are rare and atomic is already near-optimal.
 //
 // Gates, rmat pr: the CAS and combining counters are live, and Combined
-// cuts CAS attempts by at least 90% of the lanes it combined away (every
-// combined-away lane is >= one CAS chain not issued; 10% slack for
-// contention-retry noise).
+// issues at least one CAS chain fewer per lane it combined away. A chain
+// is one lane's CAS loop, so chains = cas-att - cas-fail: the failures are
+// contention retries, whose count varies from run to run by a sizeable
+// fraction of the few thousand lanes combined away on rmat pr, so they are
+// left out of the comparison rather than absorbed by a slack.
 Axis updateAxis() {
   Axis A{"update", "atomic vs combined vs privatized vs blocked"};
   A.Kernels = {KernelKind::Pr, KernelKind::Cc, KernelKind::SsspNf,
@@ -437,15 +439,19 @@ Axis updateAxis() {
           },
           timed(S));
     };
+    auto chains = [&](UpdatePolicy P) {
+      return pr(P, Stat::CasAttempts) - pr(P, Stat::CasFailures);
+    };
     std::uint64_t Att = pr(UpdatePolicy::Atomic, Stat::CasAttempts);
-    std::uint64_t CombAtt = pr(UpdatePolicy::Combined, Stat::CasAttempts);
     std::uint64_t Saved = pr(UpdatePolicy::Combined, Stat::CombinedLanesSaved);
+    std::uint64_t Chains = chains(UpdatePolicy::Atomic);
+    std::uint64_t CombChains = chains(UpdatePolicy::Combined);
     G.add("pr atomic, combined", "cas-att > 0 and saved > 0",
           Att > 0 && Saved > 0,
           "cas-att=" + str(Att) + " saved=" + str(Saved));
-    G.add("pr combined", "cas-att <= atomic cas-att - 0.9*saved",
-          CombAtt + Saved * 9 / 10 <= Att,
-          str(CombAtt) + " vs " + str(Att) + " - 0.9*" + str(Saved));
+    G.add("pr combined", "cas-att - cas-fail <= atomic's - saved",
+          CombChains + Saved <= Chains,
+          str(CombChains) + " vs " + str(Chains) + " - " + str(Saved));
   };
   return A;
 }

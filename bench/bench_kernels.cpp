@@ -6,7 +6,8 @@
 // A google-benchmark registered suite over the SPMD primitives and the
 // graph kernels, for fine-grained regression tracking of the pieces the
 // paper's figures aggregate: gathers (hardware and relaxed-atomic lane
-// loops), relaxed scatters, CAS-loop min and float add, packed stores,
+// loops), relaxed scatters, CAS-loop min (per lane and conflict-combined,
+// on distinct and on paired destinations) and float add, packed stores,
 // cooperative and naive pushes, and whole-kernel throughput on each SIMD
 // target. The primitive families alone (seconds, unlike kernel/):
 //
@@ -112,19 +113,21 @@ template <typename BK> void BM_ScatterRelaxed(benchmark::State &State) {
   State.SetItemsProcessed(State.iterations() * BK::Width);
 }
 
-/// Uncontended atomicMinVector: the value drops every iteration, so every
-/// lane's CAS is issued and wins.
-template <typename BK> void BM_CasMin(benchmark::State &State) {
+/// A vector min where lane l targets destination l >> \p LaneShift (one
+/// cache line each): the value drops every iteration, so every CAS the
+/// operation \p Min issues is uncontended and wins.
+template <typename BK, typename MinFn>
+void runCasMin(benchmark::State &State, int LaneShift, MinFn Min) {
   if (!backendSupported<BK>()) {
     State.SkipWithError("target unsupported");
     return;
   }
   std::vector<std::int32_t> Dst(16 * BK::Width, INT32_MAX);
-  VInt<BK> Idx = spreadLanes<BK>();
+  VInt<BK> Idx = (programIndex<BK>() >> LaneShift) * splat<BK>(16);
   VMask<BK> All = maskAll<BK>();
   std::int32_t Next = INT32_MAX - 1;
   for (auto _ : State) {
-    VMask<BK> Won = atomicMinVector<BK>(Dst.data(), Idx, splat<BK>(Next), All);
+    VMask<BK> Won = Min(Dst.data(), Idx, splat<BK>(Next), All);
     benchmark::DoNotOptimize(Won);
     benchmark::ClobberMemory();
     if (--Next < 0) {
@@ -135,6 +138,27 @@ template <typename BK> void BM_CasMin(benchmark::State &State) {
     }
   }
   State.SetItemsProcessed(State.iterations() * BK::Width);
+}
+
+/// Uncontended atomicMinVector: one CAS per lane.
+template <typename BK> void BM_CasMin(benchmark::State &State) {
+  runCasMin<BK>(State, 0,
+                [](auto... A) { return atomicMinVector<BK>(A...); });
+}
+
+/// atomicMinVectorCombined with every lane's destination distinct: the
+/// duplicate test, then the same per-lane loop as BM_CasMin.
+template <typename BK> void BM_CasMinCombinedDistinct(benchmark::State &State) {
+  runCasMin<BK>(State, 0,
+                [](auto... A) { return atomicMinVectorCombined<BK>(A...); });
+}
+
+/// atomicMinVectorCombined with lanes paired on Width/2 destinations: the
+/// leader pass folds every odd lane into its even neighbour, so half the
+/// lanes issue a CAS.
+template <typename BK> void BM_CasMinCombinedDup(benchmark::State &State) {
+  runCasMin<BK>(State, 1,
+                [](auto... A) { return atomicMinVectorCombined<BK>(A...); });
 }
 
 /// Uncontended atomicAddVectorF: one float CAS loop per lane.
@@ -225,6 +249,9 @@ void BM_Kernel(benchmark::State &State, KernelKind Kind, TargetKind Target) {
   BENCHMARK(BM_GatherRelaxed<BK>)->Name("gather_relaxed/" NAME);               \
   BENCHMARK(BM_ScatterRelaxed<BK>)->Name("scatter_relaxed/" NAME);             \
   BENCHMARK(BM_CasMin<BK>)->Name("cas_min/" NAME);                             \
+  BENCHMARK(BM_CasMinCombinedDistinct<BK>)                                     \
+      ->Name("cas_min_combined_distinct/" NAME);                               \
+  BENCHMARK(BM_CasMinCombinedDup<BK>)->Name("cas_min_combined_dup/" NAME);     \
   BENCHMARK(BM_FloatAdd<BK>)->Name("fadd/" NAME);                              \
   BENCHMARK(BM_PackedStoreActive<BK>)->Name("packed_store/" NAME);             \
   BENCHMARK(BM_CoopPush<BK>)->Name("push_coop/" NAME);                         \

@@ -200,15 +200,13 @@ struct Avx512Backend {
     return _mm512_maskz_compress_epi32(M, V);
   }
 
-  /// vpconflictd: Out[L] is a bitmask of earlier lanes (E < L) holding the
-  /// same 32-bit index as lane L. Picked up by the SFINAE dispatch in
-  /// simd/Atomics.h to accelerate in-vector conflict combining.
-  static void conflictEarlier(VInt Idx, std::uint32_t *Out) {
-    alignas(64) std::int32_t Tmp[16];
-    _mm512_store_si512(reinterpret_cast<__m512i *>(Tmp),
-                       _mm512_conflict_epi32(Idx));
-    for (int L = 0; L < 16; ++L)
-      Out[L] = static_cast<std::uint32_t>(Tmp[L]);
+  /// vpconflictd + vptestmd: the lanes of \p M that have an earlier lane of
+  /// \p M holding the same index. Picked up by the SFINAE dispatch in
+  /// simd/Atomics.h (ConflictDetect) to accelerate in-vector conflict
+  /// combining.
+  static Mask conflictEarlierMask(VInt Idx, Mask M) {
+    return _mm512_mask_test_epi32_mask(M, _mm512_conflict_epi32(Idx),
+                                       _mm512_set1_epi32(M));
   }
 };
 
@@ -365,13 +363,11 @@ struct Avx512HalfBackend {
     return _mm256_maskz_compress_epi32(M, V);
   }
 
-  /// vpconflictd (VL form): see Avx512Backend::conflictEarlier.
-  static void conflictEarlier(VInt Idx, std::uint32_t *Out) {
-    alignas(32) std::int32_t Tmp[8];
-    _mm256_store_si256(reinterpret_cast<__m256i *>(Tmp),
-                       _mm256_conflict_epi32(Idx));
-    for (int L = 0; L < 8; ++L)
-      Out[L] = static_cast<std::uint32_t>(Tmp[L]);
+  /// vpconflictd + vptestmd (VL forms): see
+  /// Avx512Backend::conflictEarlierMask.
+  static Mask conflictEarlierMask(VInt Idx, Mask M) {
+    return _mm256_mask_test_epi32_mask(M, _mm256_conflict_epi32(Idx),
+                                       _mm256_set1_epi32(M));
   }
 };
 

@@ -32,6 +32,7 @@
 #include <cstring>
 #include <set>
 #include <string>
+#include <utility>
 #include <vector>
 
 using namespace egacs;
@@ -71,8 +72,10 @@ protected:
 
 TYPED_TEST_SUITE(ConflictCombineTest, AllBackends);
 
-/// The conflict-detection hook (vpconflictd on AVX512, a lane loop
-/// elsewhere) must produce exactly the earlier-equal-lane bitmasks.
+/// The conflict-detection hooks (vpconflictd on AVX512, broadcast compares
+/// elsewhere) must find exactly the active lanes with an earlier active
+/// duplicate, and fold each of them, in lane order, into the lowest active
+/// lane holding its index.
 TYPED_TEST(ConflictCombineTest, ConflictDetectMatchesReference) {
   using BK = TypeParam;
   constexpr int W = BK::Width;
@@ -81,16 +84,28 @@ TYPED_TEST(ConflictCombineTest, ConflictDetectMatchesReference) {
     alignas(64) std::int32_t IdxA[W];
     for (int L = 0; L < W; ++L)
       IdxA[L] = static_cast<std::int32_t>(Rng.nextBounded(5));
-    VInt<BK> Idx = load<BK>(IdxA);
-    std::uint32_t Got[W];
-    detail::ConflictDetect<BK>::run(Idx.V, Got);
-    for (int L = 0; L < W; ++L) {
-      std::uint32_t Want = 0;
-      for (int E = 0; E < L; ++E)
-        if (IdxA[E] == IdxA[L])
-          Want |= 1u << E;
-      EXPECT_EQ(Got[L], Want) << BK::Name << " lane " << L;
+    const std::uint64_t Act = Rng.nextBounded(std::uint64_t(1) << W);
+    std::uint64_t WantDup = 0;
+    std::vector<std::pair<int, int>> WantFolds;
+    for (int F = 0; F < W; ++F) {
+      if (!((Act >> F) & 1))
+        continue;
+      for (int L = 0; L < F; ++L)
+        if (((Act >> L) & 1) && IdxA[L] == IdxA[F]) {
+          WantDup |= std::uint64_t(1) << F;
+          WantFolds.emplace_back(L, F);
+          break;
+        }
     }
+    VInt<BK> Idx = load<BK>(IdxA);
+    const std::uint64_t Dup = detail::ConflictDetect<BK>::followers(
+        Idx.V, IdxA, maskFromBits<BK>(Act).M);
+    EXPECT_EQ(Dup, WantDup) << BK::Name << " round " << Round;
+    std::vector<std::pair<int, int>> Folds;
+    detail::foldFollowers<BK>(Idx.V, IdxA, Act, WantDup, [&](int L, int F) {
+      Folds.emplace_back(L, F);
+    });
+    EXPECT_EQ(Folds, WantFolds) << BK::Name << " round " << Round;
   }
 }
 
@@ -155,7 +170,9 @@ TYPED_TEST(ConflictCombineTest, AllLanesSameIndexMinMarksMinLane) {
 }
 
 /// Random duplicate patterns: combined-min must leave memory identical to
-/// the per-lane loop and win exactly the same destination *set*.
+/// the per-lane loop and win exactly the same destination *set*; each won
+/// lane is the lowest active lane holding its destination's minimum, and
+/// every active lane beyond the first per destination counts as saved.
 TYPED_TEST(ConflictCombineTest, MixedDuplicateMinMatchesPerLaneLoop) {
   using BK = TypeParam;
   constexpr int W = BK::Width;
@@ -177,25 +194,142 @@ TYPED_TEST(ConflictCombineTest, MixedDuplicateMinMatchesPerLaneLoop) {
     VInt<BK> Val = load<BK>(ValA);
 
     VMask<BK> WonA = atomicMinVector<BK>(PerLane, Idx, Val, M);
+#ifdef EGACS_STATS
+    const std::uint64_t SavedBefore = statGet(Stat::CombinedLanesSaved);
+#endif
     VMask<BK> WonC = atomicMinVectorCombined<BK>(Combined, Idx, Val, M);
 
     for (int I = 0; I < 16; ++I)
       EXPECT_EQ(PerLane[I], Combined[I]) << BK::Name << " round " << Round;
 
-    std::set<std::int32_t> DstA, DstC;
+    std::set<std::int32_t> DstA, DstC, Active;
     std::uint64_t BA = maskBits(WonA), BC = maskBits(WonC);
     for (int L = 0; L < W; ++L) {
       if ((BA >> L) & 1)
         DstA.insert(IdxA[L]);
       if ((BC >> L) & 1)
         DstC.insert(IdxA[L]);
+      if ((Bits >> L) & 1)
+        Active.insert(IdxA[L]);
     }
     EXPECT_EQ(DstA, DstC) << BK::Name << " round " << Round;
-    // Combined wins at most once per destination, and the winning lane's
-    // value is the value now in memory.
+    // Combined wins at most once per destination, and the winning lane is
+    // the lowest active lane holding the minimum, which is now in memory.
+    for (int L = 0; L < W; ++L) {
+      if (!((BC >> L) & 1))
+        continue;
+      EXPECT_EQ(Combined[IdxA[L]], ValA[L]) << BK::Name;
+      for (int E = 0; E < W; ++E)
+        if (((Bits >> E) & 1) && IdxA[E] == IdxA[L]) {
+          EXPECT_GE(ValA[E], ValA[L]) << BK::Name << " round " << Round;
+          if (E < L) {
+            EXPECT_GT(ValA[E], ValA[L]) << BK::Name << " round " << Round;
+          }
+        }
+    }
+#ifdef EGACS_STATS
+    EXPECT_EQ(statGet(Stat::CombinedLanesSaved) - SavedBefore,
+              static_cast<std::uint64_t>(__builtin_popcountll(Bits)) -
+                  Active.size())
+        << BK::Name << " round " << Round;
+#endif
+  }
+}
+
+/// Fills IdxA[0..W) with distinct indices in [0, 32) (a random permutation
+/// prefix). With \p DupInactive, every lane outside \p Bits then repeats
+/// the first active lane's index, so duplicates sit only in inactive lanes.
+void distinctActiveIndices(Xoshiro256 &Rng, int W, std::uint64_t Bits,
+                           bool DupInactive, std::int32_t *IdxA) {
+  std::int32_t Perm[32];
+  for (int I = 0; I < 32; ++I)
+    Perm[I] = I;
+  for (int I = 31; I > 0; --I)
+    std::swap(Perm[I], Perm[Rng.nextBounded(I + 1)]);
+  const int FirstActive = Bits ? __builtin_ctzll(Bits) : 0;
+  for (int L = 0; L < W; ++L)
+    IdxA[L] = Perm[L];
+  if (DupInactive)
     for (int L = 0; L < W; ++L)
-      if ((BC >> L) & 1)
-        EXPECT_EQ(Combined[IdxA[L]], ValA[L]) << BK::Name;
+      if (!((Bits >> L) & 1))
+        IdxA[L] = IdxA[FirstActive];
+}
+
+/// Active lanes with all-distinct indices take the fast path: the won mask,
+/// memory and CAS counts match atomicMinVector bit for bit and nothing is
+/// saved. Duplicates that sit only in inactive lanes must not leave it.
+TYPED_TEST(ConflictCombineTest, DistinctActiveLanesMatchAtomicMin) {
+  using BK = TypeParam;
+  constexpr int W = BK::Width;
+  Xoshiro256 Rng(23);
+  for (int Round = 0; Round < 128; ++Round) {
+    std::int32_t PerLane[32], Combined[32];
+    for (int I = 0; I < 32; ++I)
+      PerLane[I] = Combined[I] =
+          static_cast<std::int32_t>(Rng.nextBounded(60));
+    std::uint64_t Bits = Rng.nextBounded(std::uint64_t(1) << W);
+    alignas(64) std::int32_t IdxA[W], ValA[W];
+    distinctActiveIndices(Rng, W, Bits, Round % 2, IdxA);
+    for (int L = 0; L < W; ++L)
+      ValA[L] = static_cast<std::int32_t>(Rng.nextBounded(80));
+    VMask<BK> M = maskFromBits<BK>(Bits);
+    VInt<BK> Idx = load<BK>(IdxA);
+    VInt<BK> Val = load<BK>(ValA);
+    EXPECT_EQ(detail::ConflictDetect<BK>::followers(Idx.V, IdxA, M.M), 0u)
+        << BK::Name << " round " << Round;
+
+#ifdef EGACS_STATS
+    statsReset();
+#endif
+    VMask<BK> WonA = atomicMinVector<BK>(PerLane, Idx, Val, M);
+#ifdef EGACS_STATS
+    const std::uint64_t CasA = statGet(Stat::CasAttempts);
+    const std::uint64_t FailA = statGet(Stat::CasFailures);
+    statsReset();
+#endif
+    VMask<BK> WonC = atomicMinVectorCombined<BK>(Combined, Idx, Val, M);
+    EXPECT_EQ(maskBits(WonA), maskBits(WonC))
+        << BK::Name << " round " << Round;
+    for (int I = 0; I < 32; ++I)
+      EXPECT_EQ(PerLane[I], Combined[I]) << BK::Name << " round " << Round;
+#ifdef EGACS_STATS
+    EXPECT_EQ(statGet(Stat::CasAttempts), CasA) << BK::Name;
+    EXPECT_EQ(statGet(Stat::CasFailures), FailA) << BK::Name;
+    EXPECT_EQ(statGet(Stat::CombinedLanesSaved), 0u) << BK::Name;
+#endif
+  }
+}
+
+/// The float-add counterpart: distinct active indices give bit-identical
+/// sums (the same single atomic per lane) and save nothing.
+TYPED_TEST(ConflictCombineTest, DistinctActiveLanesMatchAtomicFloatAdd) {
+  using BK = TypeParam;
+  constexpr int W = BK::Width;
+  Xoshiro256 Rng(29);
+  for (int Round = 0; Round < 128; ++Round) {
+    float PerLane[32], Combined[32];
+    for (int I = 0; I < 32; ++I)
+      PerLane[I] = Combined[I] =
+          static_cast<float>(Rng.nextBounded(1000)) / 7.0f;
+    std::uint64_t Bits = Rng.nextBounded(std::uint64_t(1) << W);
+    alignas(64) std::int32_t IdxA[W];
+    alignas(64) float ValA[W];
+    distinctActiveIndices(Rng, W, Bits, Round % 2, IdxA);
+    for (int L = 0; L < W; ++L)
+      ValA[L] = static_cast<float>(Rng.nextBounded(2000)) / 16.0f - 60.0f;
+    VMask<BK> M = maskFromBits<BK>(Bits);
+#ifdef EGACS_STATS
+    statsReset();
+#endif
+    atomicAddVectorF<BK>(PerLane, load<BK>(IdxA), loadF<BK>(ValA), M);
+    atomicAddVectorFCombined<BK>(Combined, load<BK>(IdxA), loadF<BK>(ValA),
+                                 M);
+    for (int I = 0; I < 32; ++I)
+      EXPECT_EQ(PerLane[I], Combined[I])
+          << BK::Name << " round " << Round << " slot " << I;
+#ifdef EGACS_STATS
+    EXPECT_EQ(statGet(Stat::CombinedLanesSaved), 0u) << BK::Name;
+#endif
   }
 }
 
@@ -218,6 +352,9 @@ TYPED_TEST(ConflictCombineTest, MixedDuplicateFloatAddWithinBound) {
     std::uint64_t Bits = Rng.nextBounded(std::uint64_t(1) << W);
     VMask<BK> M = maskFromBits<BK>(Bits);
     atomicAddVectorF<BK>(PerLane, load<BK>(IdxA), loadF<BK>(ValA), M);
+#ifdef EGACS_STATS
+    const std::uint64_t SavedBefore = statGet(Stat::CombinedLanesSaved);
+#endif
     atomicAddVectorFCombined<BK>(Combined, load<BK>(IdxA), loadF<BK>(ValA),
                                  M);
     // (W-1) * eps * sum|v|: the recursive-summation error bound for at
@@ -226,6 +363,16 @@ TYPED_TEST(ConflictCombineTest, MixedDuplicateFloatAddWithinBound) {
     for (int I = 0; I < 16; ++I)
       EXPECT_NEAR(PerLane[I], Combined[I], Tol)
           << BK::Name << " round " << Round << " slot " << I;
+#ifdef EGACS_STATS
+    std::set<std::int32_t> Active;
+    for (int L = 0; L < W; ++L)
+      if ((Bits >> L) & 1)
+        Active.insert(IdxA[L]);
+    EXPECT_EQ(statGet(Stat::CombinedLanesSaved) - SavedBefore,
+              static_cast<std::uint64_t>(__builtin_popcountll(Bits)) -
+                  Active.size())
+        << BK::Name << " round " << Round;
+#endif
   }
 }
 
