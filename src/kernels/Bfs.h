@@ -11,7 +11,7 @@
 /// (worklist-driven), bfs-cx (worklist with fiber-level Cooperative
 /// Conversion, Table V), bfs-tp (topology-driven rescans), and bfs-hb
 /// (hybrid sparse/dense rounds). All produce hop distances from the source
-/// (InfDist when unreachable), verified against kernels/Reference.h.
+/// (InfDist when unreachable), certified by verify::checkBfsDistances.
 ///
 //===----------------------------------------------------------------------===//
 

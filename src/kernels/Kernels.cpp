@@ -7,12 +7,10 @@
 
 #include "kernels/Kernels.h"
 
-#include "kernels/Reference.h"
 #include "support/ParseEnum.h"
 #include "engine/KernelTable.h"
 
 #include <cassert>
-#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 
@@ -127,43 +125,4 @@ KernelOutput egacs::runKernel(KernelKind Kind, TargetKind Target,
     return runKernelView<CsrView>(Kind, Target, CsrView(G), Cfg, Source, &TV);
   }
   return runKernelView<CsrView>(Kind, Target, CsrView(G), Cfg, Source);
-}
-
-bool egacs::verifyKernelOutput(KernelKind Kind, const Csr &G, NodeId Source,
-                               const KernelOutput &Out,
-                               const KernelConfig &Cfg) {
-  switch (Kind) {
-  case KernelKind::BfsWl:
-  case KernelKind::BfsCx:
-  case KernelKind::BfsTp:
-  case KernelKind::BfsHb:
-    return Out.IntData == refBfs(G, Source);
-  case KernelKind::Cc:
-    return Out.IntData == refConnectedComponents(G);
-  case KernelKind::Tri:
-    return Out.Scalar0 == refTriangleCount(G);
-  case KernelKind::SsspNf:
-    return Out.IntData == refSssp(G, Source);
-  case KernelKind::Mis:
-    return isValidMis(G, Out.IntData);
-  case KernelKind::Pr: {
-    std::vector<float> Ref =
-        refPageRank(G, Cfg.PrDamping, Cfg.PrTolerance, 50);
-    if (Ref.size() != Out.FloatData.size())
-      return false;
-    for (std::size_t I = 0; I < Ref.size(); ++I) {
-      float Tol = 1e-4f + 1e-2f * std::fabs(Ref[I]);
-      if (std::fabs(Ref[I] - Out.FloatData[I]) > Tol)
-        return false;
-    }
-    return true;
-  }
-  case KernelKind::Mst: {
-    std::int64_t Weight = 0, Edges = 0;
-    refMstWeight(G, Weight, Edges);
-    return Out.Scalar0 == Weight && Out.Scalar1 == Edges;
-  }
-  }
-  assert(false && "invalid kernel kind");
-  return false;
 }

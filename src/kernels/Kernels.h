@@ -8,10 +8,11 @@
 /// \file
 /// The runtime-dispatchable kernel interface used by the benchmark
 /// harnesses, examples, and integration tests: pick a benchmark (the
-/// paper's Table VIII set) and a SIMD target, run it, verify it against the
-/// serial oracles. Template entry points for individual kernels live in
-/// their own headers (Bfs.h, Sssp.h, ...) for users who statically know
-/// their backend.
+/// paper's Table VIII set) and a SIMD target and run it. Outputs are
+/// certified by the semantic oracles (verify/Oracle.h,
+/// verify::checkKernelOutput). Template entry points for individual kernels
+/// live in their own headers (Bfs.h, Sssp.h, ...) for users who statically
+/// know their backend.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -65,7 +66,8 @@ inline constexpr KernelKind AllKernels[] = {
 /// The paper's short benchmark name ("bfs-wl", "sssp", ...).
 const char *kernelName(KernelKind Kind);
 
-/// Parses a kernel name; asserts on unknown names.
+/// Parses a kernel name; prints the valid set and exits 2 on an unknown
+/// name (command-line parsing helper, like parseLayoutKind).
 KernelKind parseKernelKind(const std::string &Name);
 
 /// True for kernels that require edge weights (sssp, mst).
@@ -114,10 +116,6 @@ KernelOutput runKernel(KernelKind Kind, simd::TargetKind Target, const Csr &G,
 KernelOutput runKernel(KernelKind Kind, simd::TargetKind Target,
                        const AnyLayout &L, const KernelConfig &Cfg,
                        NodeId Source = 0);
-
-/// Checks \p Out against the serial oracles (kernels/Reference.h).
-bool verifyKernelOutput(KernelKind Kind, const Csr &G, NodeId Source,
-                        const KernelOutput &Out, const KernelConfig &Cfg);
 
 } // namespace egacs
 

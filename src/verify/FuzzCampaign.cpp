@@ -245,6 +245,13 @@ bool verify::injectFault(FaultKind Fault, KernelKind Kind, const Csr &G,
   return false;
 }
 
+OracleResult verify::runChecked(const SampledRun &R, const Csr &G,
+                                NodeId Source, FaultKind Fault) {
+  KernelOutput Out = runKernel(R.Kernel, R.Target, G, R.Cfg, Source);
+  injectFault(Fault, R.Kernel, G, Source, Out);
+  return checkKernelOutput(R.Kernel, G, Source, Out, R.Cfg);
+}
+
 //===----------------------------------------------------------------------===//
 // Campaign
 //===----------------------------------------------------------------------===//
@@ -314,8 +321,7 @@ bool FuzzCampaign::runSeed(std::uint64_t Seed, FuzzFailure &Failure) {
   R.Cfg.TS = &taskSystem(R.SerialTs, R.Cfg.NumTasks);
   R.Cfg.Trace = Opts.Trace;
   ++TotalKernelRuns;
-  KernelOutput Out = runKernel(R.Kernel, R.Target, *Base, R.Cfg, Source);
-  OracleResult Res = checkKernelOutput(R.Kernel, *Base, Source, Out, R.Cfg);
+  OracleResult Res = runChecked(R, *Base, Source);
   if (Res.Ok)
     return true;
 
@@ -345,8 +351,7 @@ bool FuzzCampaign::runSeed(std::uint64_t Seed, FuzzFailure &Failure) {
                      ? Source % Candidate.numNodes()
                      : 0;
       ++TotalKernelRuns;
-      KernelOutput O = runKernel(R.Kernel, R.Target, *RunG, R.Cfg, S);
-      return !checkKernelOutput(R.Kernel, *RunG, S, O, R.Cfg).Ok;
+      return !runChecked(R, *RunG, S).Ok;
     };
     Csr Min = shrinkGraph(*PreTri, Fails, Opts.ShrinkBudget);
     Failure.MinNodes = Min.numNodes();

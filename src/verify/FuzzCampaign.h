@@ -76,6 +76,15 @@ enum class FaultKind {
 bool injectFault(FaultKind Fault, KernelKind Kind, const Csr &G,
                  NodeId Source, KernelOutput &Out);
 
+/// Runs \p R on \p G from \p Source and certifies the output with the
+/// semantic oracle: the one run-and-check step of the fuzz campaign, its
+/// shrinker and the config-grid test, so a grid failure and its fuzz replay
+/// run the same code. R.Cfg.TS must be set. A \p Fault other than None
+/// corrupts the output before the check (failure-path tests); a fault the
+/// output cannot express leaves it intact.
+OracleResult runChecked(const SampledRun &R, const Csr &G, NodeId Source,
+                        FaultKind Fault = FaultKind::None);
+
 /// Campaign controls (the fuzz_kernels driver maps its flags here).
 struct FuzzOptions {
   std::uint64_t BaseSeed = 1;  ///< first seed; campaign runs [Base, Base+N)

@@ -6,12 +6,12 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// First-principles correctness oracles for every kernel output. Unlike the
-/// parity grids (which compare SIMD configurations against each other) and
-/// unlike kernels/Reference.h (which re-runs the same algorithm serially),
-/// these checks validate the *result itself* against the mathematical
-/// definition of the problem, so a bug shared by every implementation of one
-/// traversal strategy still fails:
+/// First-principles correctness oracles for every kernel output: the
+/// project's one verifier, used by the tests, the fuzzer, the benches and
+/// perfbench. Instead of comparing against a second implementation of the
+/// same algorithm, these checks validate the *result itself* against the
+/// mathematical definition of the problem, so a bug shared by every
+/// implementation of one traversal strategy still fails:
 ///
 ///  * bfs/sssp  — a distance-labeling certificate: the source is at zero, no
 ///                edge can relax any label, and every finite label is

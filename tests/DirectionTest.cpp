@@ -7,9 +7,9 @@
 // its parser, the word-packed SIMD BitmapFrontier (edge sizes, conversion
 // determinism), the push op-count-neutrality guarantee (Direction::Push must
 // leave the Fig 7 instruction counts byte-for-byte untouched), the v3 binary
-// cache transpose trailer, and the parity grid -- pull and hybrid runs must
-// produce the same results as the push baseline for every direction-capable
-// kernel x layout x sched x graph combination.
+// cache transpose trailer. Pull and hybrid runs of every direction-capable
+// kernel x layout x sched x graph are certified by the DirectionParity suite
+// of ConfigGridTest.cpp.
 //
 //===----------------------------------------------------------------------===//
 
@@ -346,113 +346,5 @@ TEST(DirectionOpCounts, PullRunsTickTheDirectionCounters) {
   statsReset();
 }
 #endif // EGACS_STATS
-
-//===----------------------------------------------------------------------===//
-// The direction parity grid: kernel x layout x sched x graph under 4 tasks.
-// Pull and hybrid traversals must reproduce the push results exactly for
-// the integer kernels; pr's pull accumulation reorders float adds, so its
-// ranks get a convergence-tolerance comparison plus full verification.
-//===----------------------------------------------------------------------===//
-
-struct DirectionParityCase {
-  KernelKind Kernel;
-  LayoutKind Layout;
-  SchedPolicy Sched;
-  std::string Graph;
-};
-
-Csr makeDirectionParityGraph(const std::string &Name) {
-  if (Name == "road")
-    return roadGraph(24, 17, 0.08, /*Seed=*/5);
-  if (Name == "rmat")
-    return rmatGraph(/*Scale=*/9, /*EdgeFactor=*/6, /*Seed=*/9);
-  if (Name == "random")
-    return uniformRandomGraph(1500, /*Degree=*/4, /*Seed=*/11);
-  ADD_FAILURE() << "unknown parity graph " << Name;
-  return pathGraph(2);
-}
-
-class DirectionParity : public ::testing::TestWithParam<DirectionParityCase> {
-};
-
-TEST_P(DirectionParity, PullAndHybridMatchPush) {
-  const DirectionParityCase &C = GetParam();
-  Csr G = makeDirectionParityGraph(C.Graph);
-  TargetKind Target = targetSupported(TargetKind::Avx512x16)
-                          ? TargetKind::Avx512x16
-                          : TargetKind::Scalar8;
-
-  ThreadPoolTaskSystem Pool(4);
-  KernelConfig Cfg = KernelConfig::allOptimizations(Pool, 4);
-  Cfg.Delta = 512;
-  Cfg.Sched = C.Sched;
-  Cfg.ChunkSize = 64;
-  Cfg.Layout = C.Layout;
-  Cfg.SellSigma = 128;
-
-  LayoutOptions Opts;
-  Opts.SellChunk = targetWidth(Target);
-  Opts.SellSigma = Cfg.SellSigma;
-  AnyLayout L = AnyLayout::build(C.Layout, G, Opts);
-  L.buildTranspose(Opts);
-
-  Cfg.Dir = Direction::Push;
-  KernelOutput Ref = runKernel(C.Kernel, Target, L, Cfg, /*Source=*/0);
-
-  for (Direction Dir : {Direction::Pull, Direction::Hybrid}) {
-    Cfg.Dir = Dir;
-    KernelOutput Out = runKernel(C.Kernel, Target, L, Cfg, /*Source=*/0);
-    std::string Tag = std::string(kernelName(C.Kernel)) + " x " +
-                      layoutName(C.Layout) + " x " +
-                      schedPolicyName(C.Sched) + " x " + C.Graph + " under " +
-                      directionName(Dir);
-    if (C.Kernel == KernelKind::Pr) {
-      // Rounds to convergence can differ by the float summation order, so
-      // only the ranks are compared (to tolerance), not the scalars.
-      ASSERT_EQ(Out.FloatData.size(), Ref.FloatData.size()) << Tag;
-      for (std::size_t I = 0; I < Out.FloatData.size(); ++I)
-        ASSERT_NEAR(Out.FloatData[I], Ref.FloatData[I], 1e-3f) << Tag;
-    } else {
-      ASSERT_EQ(Out.IntData, Ref.IntData) << Tag;
-      ASSERT_EQ(Out.Scalar0, Ref.Scalar0) << Tag;
-      ASSERT_EQ(Out.Scalar1, Ref.Scalar1) << Tag;
-    }
-    EXPECT_TRUE(verifyKernelOutput(C.Kernel, G, 0, Out, Cfg)) << Tag;
-  }
-}
-
-std::vector<DirectionParityCase> allDirectionParityCases() {
-  const KernelKind Kernels[] = {KernelKind::BfsHb, KernelKind::BfsWl,
-                                KernelKind::Cc, KernelKind::Pr};
-  const SchedPolicy Scheds[] = {SchedPolicy::Static, SchedPolicy::Chunked,
-                                SchedPolicy::Stealing};
-  const char *Graphs[] = {"road", "rmat", "random"};
-  std::vector<DirectionParityCase> Cases;
-  for (KernelKind Kernel : Kernels)
-    for (LayoutKind Layout : AllLayoutKinds)
-      for (SchedPolicy Sched : Scheds)
-        for (const char *Graph : Graphs)
-          Cases.push_back({Kernel, Layout, Sched, Graph});
-  return Cases;
-}
-
-std::string directionParityCaseName(
-    const ::testing::TestParamInfo<DirectionParityCase> &I) {
-  std::string Name = kernelName(I.param.Kernel);
-  Name += "_";
-  Name += layoutName(I.param.Layout);
-  Name += "_";
-  Name += schedPolicyName(I.param.Sched);
-  Name += "_";
-  Name += I.param.Graph;
-  for (char &C : Name)
-    if (C == '-')
-      C = '_';
-  return Name;
-}
-
-INSTANTIATE_TEST_SUITE_P(KernelsLayoutsScheds, DirectionParity,
-                         ::testing::ValuesIn(allDirectionParityCases()),
-                         directionParityCaseName);
 
 } // namespace

@@ -4,10 +4,9 @@
 // Algorithms on CPU with SIMD Extensions" (CGO 2021).
 //
 // Unit tests for the GraphView layer (graph/GraphView.h): the hub and SELL
-// permutations, the sliced storage round trip, the zero-cost guarantee of
-// CsrView, and the full layout parity grid -- every kernel x layout x
-// scheduling policy must match the scalar references on the paper's three
-// graph classes.
+// permutations, the sliced storage round trip and the zero-cost guarantee of
+// CsrView. Every kernel x layout x scheduling policy is certified by the
+// LayoutParity suite of ConfigGridTest.cpp.
 //
 //===----------------------------------------------------------------------===//
 
@@ -288,93 +287,5 @@ TEST(AnyLayoutTest, VisitDispatchesToTheStaticType) {
   EXPECT_EQ(AnyLayout::build(LayoutKind::Csr, G).layoutAuxBytes(), 0u);
   EXPECT_GT(AnyLayout::build(LayoutKind::Sell, G).layoutAuxBytes(), 0u);
 }
-
-//===----------------------------------------------------------------------===//
-// The layout parity grid: kernel x layout x scheduling policy on the
-// paper's three graph classes, all against the scalar references. This is
-// the refactor's end-to-end safety net.
-//===----------------------------------------------------------------------===//
-
-struct ParityCase {
-  KernelKind Kernel;
-  LayoutKind Layout;
-  SchedPolicy Sched;
-  std::string Graph;
-};
-
-Csr makeParityGraph(const std::string &Name, bool Sorted) {
-  Csr G = [&] {
-    if (Name == "road")
-      return roadGraph(24, 17, 0.08, /*Seed=*/5);
-    if (Name == "rmat")
-      return rmatGraph(/*Scale=*/9, /*EdgeFactor=*/6, /*Seed=*/9);
-    if (Name == "random")
-      return uniformRandomGraph(1500, /*Degree=*/4, /*Seed=*/11);
-    ADD_FAILURE() << "unknown parity graph " << Name;
-    return pathGraph(2);
-  }();
-  return Sorted ? G.sortedByDestination() : std::move(G);
-}
-
-class LayoutParity : public ::testing::TestWithParam<ParityCase> {};
-
-TEST_P(LayoutParity, MatchesScalarReference) {
-  const ParityCase &C = GetParam();
-  Csr G = makeParityGraph(C.Graph, kernelNeedsSortedAdjacency(C.Kernel));
-
-  // Same target selection as the OptCombination kernel grid: prefer the
-  // widest supported SIMD target, fall back to the scalar backend.
-  TargetKind Target = targetSupported(TargetKind::Avx512x16)
-                          ? TargetKind::Avx512x16
-                          : TargetKind::Scalar8;
-
-  ThreadPoolTaskSystem Pool(4);
-  KernelConfig Cfg = KernelConfig::allOptimizations(Pool, 4);
-  Cfg.Delta = 512;
-  Cfg.Sched = C.Sched;
-  Cfg.ChunkSize = 64;
-  Cfg.Layout = C.Layout;
-  Cfg.SellSigma = 128;
-
-  LayoutOptions Opts;
-  Opts.SellChunk = targetWidth(Target);
-  Opts.SellSigma = Cfg.SellSigma;
-  AnyLayout L = AnyLayout::build(C.Layout, G, Opts);
-  KernelOutput Out = runKernel(C.Kernel, Target, L, Cfg, /*Source=*/0);
-  EXPECT_TRUE(verifyKernelOutput(C.Kernel, G, 0, Out, Cfg))
-      << kernelName(C.Kernel) << " x " << layoutName(C.Layout) << " x "
-      << schedPolicyName(C.Sched) << " on " << C.Graph;
-}
-
-std::vector<ParityCase> allParityCases() {
-  const SchedPolicy Scheds[] = {SchedPolicy::Static, SchedPolicy::Chunked,
-                                SchedPolicy::Stealing};
-  const char *Graphs[] = {"road", "rmat", "random"};
-  std::vector<ParityCase> Cases;
-  for (KernelKind Kernel : AllKernels)
-    for (LayoutKind Layout : AllLayoutKinds)
-      for (SchedPolicy Sched : Scheds)
-        for (const char *Graph : Graphs)
-          Cases.push_back({Kernel, Layout, Sched, Graph});
-  return Cases;
-}
-
-std::string parityCaseName(const ::testing::TestParamInfo<ParityCase> &Info) {
-  std::string Name = kernelName(Info.param.Kernel);
-  Name += "_";
-  Name += layoutName(Info.param.Layout);
-  Name += "_";
-  Name += schedPolicyName(Info.param.Sched);
-  Name += "_";
-  Name += Info.param.Graph;
-  for (char &C : Name)
-    if (C == '-')
-      C = '_';
-  return Name;
-}
-
-INSTANTIATE_TEST_SUITE_P(KernelsLayoutsScheds, LayoutParity,
-                         ::testing::ValuesIn(allParityCases()),
-                         parityCaseName);
 
 } // namespace

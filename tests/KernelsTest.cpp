@@ -3,13 +3,13 @@
 // Part of the EGACS project, a reproduction of "Efficient Execution of Graph
 // Algorithms on CPU with SIMD Extensions" (CGO 2021).
 //
-// Every benchmark kernel is run across SIMD targets, optimization bundles,
-// task systems, and graph classes, and its output is checked against the
-// serial oracles — the paper's "collect the outputs and check them against
-// the reference output" methodology as a test suite.
+// Every tasking backend and a set of closed-form and edge-case graphs,
+// with each output certified by the semantic oracles (src/verify/). The
+// kernel x configuration grids live in ConfigGridTest.cpp.
 //
 //===----------------------------------------------------------------------===//
 
+#include "OracleAssert.h"
 #include "graph/Generators.h"
 #include "kernels/Kernels.h"
 #include "simd/Targets.h"
@@ -18,142 +18,10 @@
 
 #include <gtest/gtest.h>
 
-#include <string>
-#include <tuple>
-
 using namespace egacs;
 using namespace egacs::simd;
 
 namespace {
-
-/// Prepares a named test graph (weights everywhere; sorted adjacency where
-/// the kernel needs it).
-Csr makeTestGraph(const std::string &Name, bool Sorted) {
-  Csr G = [&] {
-    if (Name == "path")
-      return pathGraph(64, /*Weighted=*/true);
-    if (Name == "cycle")
-      return cycleGraph(37);
-    if (Name == "star")
-      return starGraph(33);
-    if (Name == "road")
-      return roadGraph(24, 17, 0.08, /*Seed=*/5);
-    if (Name == "rmat")
-      return rmatGraph(/*Scale=*/9, /*EdgeFactor=*/6, /*Seed=*/9);
-    if (Name == "random")
-      return uniformRandomGraph(1500, /*Degree=*/4, /*Seed=*/11);
-    ADD_FAILURE() << "unknown test graph " << Name;
-    return pathGraph(2);
-  }();
-  return Sorted ? G.sortedByDestination() : std::move(G);
-}
-
-struct KernelCase {
-  KernelKind Kernel;
-  TargetKind Target;
-  std::string Graph;
-};
-
-class KernelCorrectness : public ::testing::TestWithParam<KernelCase> {};
-
-TEST_P(KernelCorrectness, MatchesReference) {
-  const KernelCase &C = GetParam();
-  if (!targetSupported(C.Target))
-    GTEST_SKIP() << "target not supported on this CPU";
-  Csr G = makeTestGraph(C.Graph, kernelNeedsSortedAdjacency(C.Kernel));
-
-  SerialTaskSystem Serial;
-  KernelConfig Cfg = KernelConfig::allOptimizations(Serial, 1);
-  Cfg.Delta = 512;
-  KernelOutput Out = runKernel(C.Kernel, C.Target, G, Cfg, /*Source=*/0);
-  EXPECT_TRUE(verifyKernelOutput(C.Kernel, G, 0, Out, Cfg))
-      << kernelName(C.Kernel) << " on " << C.Graph << " with "
-      << targetName(C.Target);
-}
-
-std::vector<KernelCase> allKernelCases() {
-  const TargetKind Targets[] = {
-      TargetKind::Scalar1, TargetKind::Scalar8,
-#ifdef EGACS_HAVE_AVX2
-      TargetKind::Avx2x4,  TargetKind::Avx2x8,  TargetKind::Avx2x16,
-#endif
-#ifdef EGACS_HAVE_AVX512
-      TargetKind::Avx512x8, TargetKind::Avx512x16,
-#endif
-  };
-  const char *Graphs[] = {"path", "cycle", "star", "road", "rmat", "random"};
-  std::vector<KernelCase> Cases;
-  for (KernelKind Kernel : AllKernels)
-    for (TargetKind Target : Targets)
-      for (const char *Graph : Graphs)
-        Cases.push_back({Kernel, Target, Graph});
-  return Cases;
-}
-
-std::string kernelCaseName(const ::testing::TestParamInfo<KernelCase> &Info) {
-  std::string Name = kernelName(Info.param.Kernel);
-  Name += "_";
-  Name += targetName(Info.param.Target);
-  Name += "_";
-  Name += Info.param.Graph;
-  for (char &C : Name)
-    if (C == '-')
-      C = '_';
-  return Name;
-}
-
-INSTANTIATE_TEST_SUITE_P(AllKernelsTargetsGraphs, KernelCorrectness,
-                         ::testing::ValuesIn(allKernelCases()),
-                         kernelCaseName);
-
-//===----------------------------------------------------------------------===//
-// Optimization-combination sweep (the Fig 5 configurations must all agree).
-//===----------------------------------------------------------------------===//
-
-struct OptCase {
-  bool Io, Np, Cc, Fibers;
-};
-
-class OptCombination : public ::testing::TestWithParam<OptCase> {};
-
-TEST_P(OptCombination, AllKernelsCorrectUnderConfig) {
-  const OptCase &C = GetParam();
-  ThreadPoolTaskSystem Pool(4);
-  KernelConfig Cfg = KernelConfig::unoptimized(Pool, 4);
-  Cfg.IterationOutlining = C.Io;
-  Cfg.NestedParallelism = C.Np;
-  Cfg.CoopConversion = C.Cc;
-  Cfg.Fibers = C.Fibers;
-  Cfg.Delta = 512;
-
-  TargetKind Target = targetSupported(TargetKind::Avx512x16)
-                          ? TargetKind::Avx512x16
-                          : TargetKind::Scalar8;
-  for (KernelKind Kernel : AllKernels) {
-    Csr G = makeTestGraph("rmat", kernelNeedsSortedAdjacency(Kernel));
-    KernelOutput Out = runKernel(Kernel, Target, G, Cfg, /*Source=*/0);
-    EXPECT_TRUE(verifyKernelOutput(Kernel, G, 0, Out, Cfg))
-        << kernelName(Kernel) << " io=" << C.Io << " np=" << C.Np
-        << " cc=" << C.Cc << " fib=" << C.Fibers;
-  }
-}
-
-INSTANTIATE_TEST_SUITE_P(
-    Fig5Configs, OptCombination,
-    ::testing::Values(OptCase{false, false, false, false},
-                      OptCase{true, false, false, false},
-                      OptCase{true, true, true, false},
-                      OptCase{true, false, false, true},
-                      OptCase{true, true, true, true},
-                      OptCase{false, true, true, true}),
-    [](const ::testing::TestParamInfo<OptCase> &Info) {
-      std::string Name;
-      Name += Info.param.Io ? "io" : "noio";
-      Name += Info.param.Np ? "_np" : "_nonp";
-      Name += Info.param.Cc ? "_cc" : "_nocc";
-      Name += Info.param.Fibers ? "_fib" : "_nofib";
-      return Name;
-    });
 
 //===----------------------------------------------------------------------===//
 // Task systems: every tasking backend must produce identical results.
@@ -166,13 +34,13 @@ TEST_P(TaskSystemSweep, BfsAndSsspCorrect) {
   int NumTasks = GetParam() == TaskSystemKind::Serial ? 1 : 4;
   KernelConfig Cfg = KernelConfig::allOptimizations(*TS, NumTasks);
   Cfg.Delta = 512;
-  Csr G = makeTestGraph("road", false);
+  Csr G = roadGraph(24, 17, 0.08, /*Seed=*/5);
   TargetKind Target = targetSupported(TargetKind::Avx2x8)
                           ? TargetKind::Avx2x8
                           : TargetKind::Scalar8;
   for (KernelKind Kernel : {KernelKind::BfsWl, KernelKind::SsspNf}) {
     KernelOutput Out = runKernel(Kernel, Target, G, Cfg, /*Source=*/3);
-    EXPECT_TRUE(verifyKernelOutput(Kernel, G, 3, Out, Cfg))
+    EXPECT_TRUE(certified(verify::checkKernelOutput(Kernel, G, 3, Out, Cfg)))
         << kernelName(Kernel) << " on " << TS->name();
   }
 }
@@ -201,7 +69,7 @@ INSTANTIATE_TEST_SUITE_P(AllTaskSystems, TaskSystemSweep,
 //===----------------------------------------------------------------------===//
 
 TEST(KernelProperties, BfsVariantsAgree) {
-  Csr G = makeTestGraph("rmat", false);
+  Csr G = rmatGraph(/*Scale=*/9, /*EdgeFactor=*/6, /*Seed=*/9);
   SerialTaskSystem Serial;
   KernelConfig Cfg = KernelConfig::allOptimizations(Serial, 1);
   TargetKind Target = TargetKind::Scalar8;
@@ -215,7 +83,7 @@ TEST(KernelProperties, BfsVariantsAgree) {
 }
 
 TEST(KernelProperties, SsspDeltasAgree) {
-  Csr G = makeTestGraph("road", false);
+  Csr G = roadGraph(24, 17, 0.08, /*Seed=*/5);
   SerialTaskSystem Serial;
   TargetKind Target = TargetKind::Scalar8;
   KernelOutput Baseline;
@@ -227,7 +95,8 @@ TEST(KernelProperties, SsspDeltasAgree) {
     if (First) {
       Baseline = Out;
       First = false;
-      EXPECT_TRUE(verifyKernelOutput(KernelKind::SsspNf, G, 0, Out, Cfg));
+      EXPECT_TRUE(certified(
+          verify::checkKernelOutput(KernelKind::SsspNf, G, 0, Out, Cfg)));
     } else {
       EXPECT_EQ(Baseline.IntData, Out.IntData) << "delta=" << Delta;
     }
@@ -310,7 +179,7 @@ TEST(KernelProperties, DisconnectedGraphsHandleUnreachableNodes) {
                        : Csr();
     const Csr &Use = kernelNeedsSortedAdjacency(Kernel) ? Prepared : G;
     KernelOutput Out = runKernel(Kernel, TargetKind::Scalar8, Use, Cfg, 0);
-    EXPECT_TRUE(verifyKernelOutput(Kernel, Use, 0, Out, Cfg))
+    EXPECT_TRUE(certified(verify::checkKernelOutput(Kernel, Use, 0, Out, Cfg)))
         << kernelName(Kernel);
   }
   // Unreachable nodes keep the sentinel distance.
@@ -336,7 +205,7 @@ TEST(KernelProperties, ManyTaskStress) {
          {KernelKind::BfsWl, KernelKind::BfsCx, KernelKind::Cc,
           KernelKind::SsspNf, KernelKind::Mis, KernelKind::Mst}) {
       KernelOutput Out = runKernel(Kernel, Target, G, Cfg, 0);
-      EXPECT_TRUE(verifyKernelOutput(Kernel, G, 0, Out, Cfg))
+      EXPECT_TRUE(certified(verify::checkKernelOutput(Kernel, G, 0, Out, Cfg)))
           << kernelName(Kernel) << " seed " << Seed;
     }
   }
@@ -370,7 +239,7 @@ TEST(KernelProperties, SingleNodeAndTinyGraphs) {
 }
 
 TEST(KernelProperties, PrMassConservation) {
-  Csr G = makeTestGraph("random", false);
+  Csr G = uniformRandomGraph(1500, /*Degree=*/4, /*Seed=*/11);
   SerialTaskSystem Serial;
   KernelConfig Cfg = KernelConfig::allOptimizations(Serial, 1);
   KernelOutput Out =
@@ -403,9 +272,9 @@ TEST(KernelProperties, PrConvergesBeforeRoundCapOnPartialVectors) {
     Cfg.Trace = &S;
     KernelOutput Out = runKernel(KernelKind::Pr, Target, G, Cfg, 0);
     EXPECT_LT(S.rounds().size(), 50u) << targetName(Target);
-    verify::OracleResult Check =
-        verify::checkKernelOutput(KernelKind::Pr, G, 0, Out, Cfg);
-    EXPECT_TRUE(Check.Ok) << targetName(Target) << ": " << Check.Reason;
+    EXPECT_TRUE(certified(
+        verify::checkKernelOutput(KernelKind::Pr, G, 0, Out, Cfg)))
+        << targetName(Target);
   }
 #endif
 }

@@ -5,10 +5,10 @@
 //
 // Covers the latency-hiding prefetch pipeline (sched/Prefetch.h): the SFINAE
 // no-op degradation of the simd prefetch hooks, the policy parser, the
-// prefetch statistics, and the parity grid -- staging is a pure scheduling
-// hint, so every kernel x layout x sched combination must produce the same
-// results under rows / rows+props as under none, on the paper's three graph
-// classes.
+// prefetch statistics, and single-task bit identity -- staging is a pure
+// scheduling hint, so with one task rows / rows+props must reproduce the
+// none output exactly. Every kernel x layout x sched run under rows and
+// rows+props is certified by the PrefetchParity suite of ConfigGridTest.cpp.
 //
 //===----------------------------------------------------------------------===//
 
@@ -225,115 +225,5 @@ TEST(PrefetchKernels, SingleTaskOutputsAreBitIdentical) {
     }
   }
 }
-
-//===----------------------------------------------------------------------===//
-// The prefetch parity grid: kernel x layout x sched x graph under 4 tasks.
-// Staging must be result-invariant; float accumulation order varies with
-// the task interleaving (independent of prefetching), so FloatData gets a
-// convergence-tolerance comparison while everything else is exact.
-//===----------------------------------------------------------------------===//
-
-struct PrefetchParityCase {
-  KernelKind Kernel;
-  LayoutKind Layout;
-  SchedPolicy Sched;
-  std::string Graph;
-};
-
-Csr makePrefetchParityGraph(const std::string &Name, bool Sorted) {
-  Csr G = [&] {
-    if (Name == "road")
-      return roadGraph(24, 17, 0.08, /*Seed=*/5);
-    if (Name == "rmat")
-      return rmatGraph(/*Scale=*/9, /*EdgeFactor=*/6, /*Seed=*/9);
-    if (Name == "random")
-      return uniformRandomGraph(1500, /*Degree=*/4, /*Seed=*/11);
-    ADD_FAILURE() << "unknown parity graph " << Name;
-    return pathGraph(2);
-  }();
-  return Sorted ? G.sortedByDestination() : std::move(G);
-}
-
-class PrefetchParity : public ::testing::TestWithParam<PrefetchParityCase> {};
-
-TEST_P(PrefetchParity, StagingIsResultInvariant) {
-  const PrefetchParityCase &C = GetParam();
-  Csr G = makePrefetchParityGraph(C.Graph,
-                                  kernelNeedsSortedAdjacency(C.Kernel));
-  TargetKind Target = targetSupported(TargetKind::Avx512x16)
-                          ? TargetKind::Avx512x16
-                          : TargetKind::Scalar8;
-
-  ThreadPoolTaskSystem Pool(4);
-  KernelConfig Cfg = KernelConfig::allOptimizations(Pool, 4);
-  Cfg.Delta = 512;
-  Cfg.Sched = C.Sched;
-  Cfg.ChunkSize = 64;
-  Cfg.Layout = C.Layout;
-  Cfg.SellSigma = 128;
-
-  LayoutOptions Opts;
-  Opts.SellChunk = targetWidth(Target);
-  Opts.SellSigma = Cfg.SellSigma;
-  AnyLayout L = AnyLayout::build(C.Layout, G, Opts);
-
-  Cfg.Prefetch = PrefetchPolicy::None;
-  KernelOutput Ref = runKernel(C.Kernel, Target, L, Cfg, /*Source=*/0);
-
-  for (PrefetchPolicy P : {PrefetchPolicy::Rows, PrefetchPolicy::RowsProps}) {
-    Cfg.Prefetch = P;
-    Cfg.PrefetchDist = 4;
-    KernelOutput Out = runKernel(C.Kernel, Target, L, Cfg, /*Source=*/0);
-    std::string Tag = std::string(kernelName(C.Kernel)) + " x " +
-                      layoutName(C.Layout) + " x " +
-                      schedPolicyName(C.Sched) + " x " + C.Graph + " under " +
-                      prefetchPolicyName(P);
-    // Mis is task-interleaving sensitive with > 1 task even without
-    // staging (two none runs disagree), so equality against a single
-    // reference run would be flaky for reasons unrelated to prefetch;
-    // verifyKernelOutput below still demands a valid maximal independent
-    // set, and the single-task test above proves bit-identity.
-    if (C.Kernel != KernelKind::Mis)
-      ASSERT_EQ(Out.IntData, Ref.IntData) << Tag;
-    ASSERT_EQ(Out.Scalar0, Ref.Scalar0) << Tag;
-    ASSERT_EQ(Out.Scalar1, Ref.Scalar1) << Tag;
-    ASSERT_EQ(Out.FloatData.size(), Ref.FloatData.size()) << Tag;
-    for (std::size_t I = 0; I < Out.FloatData.size(); ++I)
-      ASSERT_NEAR(Out.FloatData[I], Ref.FloatData[I], 1e-3f) << Tag;
-    EXPECT_TRUE(verifyKernelOutput(C.Kernel, G, 0, Out, Cfg)) << Tag;
-  }
-}
-
-std::vector<PrefetchParityCase> allPrefetchParityCases() {
-  const SchedPolicy Scheds[] = {SchedPolicy::Static, SchedPolicy::Chunked,
-                                SchedPolicy::Stealing};
-  const char *Graphs[] = {"road", "rmat", "random"};
-  std::vector<PrefetchParityCase> Cases;
-  for (KernelKind Kernel : AllKernels)
-    for (LayoutKind Layout : AllLayoutKinds)
-      for (SchedPolicy Sched : Scheds)
-        for (const char *Graph : Graphs)
-          Cases.push_back({Kernel, Layout, Sched, Graph});
-  return Cases;
-}
-
-std::string
-prefetchParityCaseName(const ::testing::TestParamInfo<PrefetchParityCase> &I) {
-  std::string Name = kernelName(I.param.Kernel);
-  Name += "_";
-  Name += layoutName(I.param.Layout);
-  Name += "_";
-  Name += schedPolicyName(I.param.Sched);
-  Name += "_";
-  Name += I.param.Graph;
-  for (char &C : Name)
-    if (C == '-')
-      C = '_';
-  return Name;
-}
-
-INSTANTIATE_TEST_SUITE_P(KernelsLayoutsScheds, PrefetchParity,
-                         ::testing::ValuesIn(allPrefetchParityCases()),
-                         prefetchParityCaseName);
 
 } // namespace

@@ -14,15 +14,16 @@
 ///
 //===----------------------------------------------------------------------===//
 
+#include "OracleAssert.h"
 #include "graph/Generators.h"
 #include "kernels/Bfs.h"
 #include "kernels/Cc.h"
 #include "kernels/Pr.h"
-#include "kernels/Reference.h"
 #include "runtime/Barrier.h"
 #include "runtime/TaskSystem.h"
 #include "sched/WorkStealing.h"
 #include "simd/Targets.h"
+#include "verify/Oracle.h"
 
 #include <gtest/gtest.h>
 
@@ -284,22 +285,20 @@ TEST(LoopSchedulerStealing, StallingOwnerGetsRobbed) {
 TEST(SchedKernels, BfsPrCcMatchReferenceUnderDynamicPolicies) {
   using BK = simd::NativeBackend;
   Csr G = namedGraph("rmat", /*Scale=*/8);
-  auto RefDist = refBfs(G, /*Source=*/0);
-  auto RefComp = refConnectedComponents(G);
-
   ThreadPoolTaskSystem Pool(4);
   for (SchedPolicy P : {SchedPolicy::Chunked, SchedPolicy::Stealing}) {
     KernelConfig Cfg = KernelConfig::allOptimizations(Pool, 4);
     Cfg.Sched = P;
     Cfg.ChunkSize = 32;
-    EXPECT_EQ(bfsWl<BK>(G, Cfg, 0), RefDist) << schedPolicyName(P);
-    EXPECT_EQ(connectedComponents<BK>(G, Cfg), RefComp) << schedPolicyName(P);
-
-    auto Pr = pageRank<BK>(G, Cfg);
-    auto RefPr = refPageRank(G, Cfg.PrDamping, Cfg.PrTolerance, 50);
-    ASSERT_EQ(Pr.size(), RefPr.size());
-    for (std::size_t I = 0; I < Pr.size(); ++I)
-      ASSERT_NEAR(Pr[I], RefPr[I], 1e-3f) << schedPolicyName(P);
+    EXPECT_TRUE(certified(
+        verify::checkBfsDistances(G, /*Source=*/0, bfsWl<BK>(G, Cfg, 0))))
+        << schedPolicyName(P);
+    EXPECT_TRUE(certified(
+        verify::checkComponents(G, connectedComponents<BK>(G, Cfg))))
+        << schedPolicyName(P);
+    EXPECT_TRUE(certified(verify::checkPageRank(
+        G, pageRank<BK>(G, Cfg), Cfg.PrDamping, Cfg.PrTolerance)))
+        << schedPolicyName(P);
   }
 }
 

@@ -11,13 +11,14 @@
 //  * FloatAccumEngine policy equivalence (Atomic == Combined == Privatized
 //    == Blocked up to float reassociation);
 //  * Bořůvka's combined 64-bit min;
-//  * kernel-vs-reference parity for the cmpxchg-heavy kernels under every
-//    UpdatePolicy x SchedPolicy;
 //  * parseUpdatePolicy's exit(2) contract.
+// The cmpxchg-heavy kernels under every UpdatePolicy x SchedPolicy are
+// certified by the UpdateParity suite of ConfigGridTest.cpp.
 //
 //===----------------------------------------------------------------------===//
 
 #include "AllBackends.h"
+#include "OracleAssert.h"
 #include "graph/Generators.h"
 #include "kernels/Kernels.h"
 #include "sched/UpdateEngine.h"
@@ -25,6 +26,7 @@
 #include "simd/Targets.h"
 #include "support/CpuInfo.h"
 #include "support/Rng.h"
+#include "verify/Oracle.h"
 
 #include <gtest/gtest.h>
 
@@ -534,75 +536,6 @@ TEST(UpdateMin64Combined, MatchesPerLaneLoop) {
   }
 }
 
-//===----------------------------------------------------------------------===//
-// Kernel-vs-reference parity: UpdatePolicy x SchedPolicy.
-//===----------------------------------------------------------------------===//
-
-struct UpdateParityCase {
-  KernelKind Kernel;
-  UpdatePolicy Update;
-  SchedPolicy Sched;
-};
-
-class UpdateParity : public ::testing::TestWithParam<UpdateParityCase> {};
-
-TEST_P(UpdateParity, MatchesReference) {
-  const UpdateParityCase &C = GetParam();
-  ThreadPoolTaskSystem Pool(4);
-  KernelConfig Cfg = KernelConfig::allOptimizations(Pool, 4);
-  Cfg.Update = C.Update;
-  Cfg.Sched = C.Sched;
-  Cfg.ChunkSize = 64; // small enough to exercise chunking on test graphs
-  Cfg.Delta = 512;
-  Cfg.UpdateBlockNodes = 128; // several bins even at test scale
-
-  TargetKind Target = targetSupported(TargetKind::Avx512x16)
-                          ? TargetKind::Avx512x16
-                          : TargetKind::Scalar8;
-  Csr G = rmatGraph(/*Scale=*/9, /*EdgeFactor=*/6, /*Seed=*/9);
-  if (kernelNeedsSortedAdjacency(C.Kernel))
-    G = G.sortedByDestination();
-  KernelOutput Out = runKernel(C.Kernel, Target, G, Cfg, /*Source=*/0);
-  EXPECT_TRUE(verifyKernelOutput(C.Kernel, G, 0, Out, Cfg))
-      << kernelName(C.Kernel) << " update=" << updatePolicyName(C.Update)
-      << " sched=" << schedPolicyName(C.Sched);
-}
-
-std::vector<UpdateParityCase> updateParityCases() {
-  const KernelKind Kernels[] = {KernelKind::Pr, KernelKind::Cc,
-                                KernelKind::SsspNf, KernelKind::Mst,
-                                KernelKind::BfsWl};
-  const UpdatePolicy Updates[] = {UpdatePolicy::Atomic,
-                                  UpdatePolicy::Combined,
-                                  UpdatePolicy::Privatized,
-                                  UpdatePolicy::Blocked};
-  const SchedPolicy Scheds[] = {SchedPolicy::Static, SchedPolicy::Chunked,
-                                SchedPolicy::Stealing};
-  std::vector<UpdateParityCase> Cases;
-  for (KernelKind K : Kernels)
-    for (UpdatePolicy U : Updates)
-      for (SchedPolicy S : Scheds)
-        Cases.push_back({K, U, S});
-  return Cases;
-}
-
-std::string
-updateParityName(const ::testing::TestParamInfo<UpdateParityCase> &Info) {
-  std::string Name = kernelName(Info.param.Kernel);
-  Name += "_";
-  Name += updatePolicyName(Info.param.Update);
-  Name += "_";
-  Name += schedPolicyName(Info.param.Sched);
-  for (char &C : Name)
-    if (C == '-')
-      C = '_';
-  return Name;
-}
-
-INSTANTIATE_TEST_SUITE_P(PolicyGrid, UpdateParity,
-                         ::testing::ValuesIn(updateParityCases()),
-                         updateParityName);
-
 #ifdef EGACS_STATS
 //===----------------------------------------------------------------------===//
 // Engine instrumentation: the new counters are live.
@@ -618,7 +551,8 @@ TEST(UpdateEngineStats, ScatterAndMergeCritPathsRecorded) {
   statsReset();
   KernelOutput Out =
       runKernel(KernelKind::Pr, TargetKind::Scalar8, G, Cfg, 0);
-  EXPECT_TRUE(verifyKernelOutput(KernelKind::Pr, G, 0, Out, Cfg));
+  EXPECT_TRUE(
+      certified(verify::checkKernelOutput(KernelKind::Pr, G, 0, Out, Cfg)));
   EXPECT_GT(statGet(Stat::UpdatePairsBinned), 0u);
   EXPECT_GT(statGet(Stat::UpdateScatterCritNanos), 0u);
   EXPECT_GT(statGet(Stat::UpdateMergeCritNanos), 0u);
@@ -636,7 +570,8 @@ TEST(UpdateEngineStats, CombinedSavesLanesOnHubGraph) {
   statsReset();
   KernelOutput Out =
       runKernel(KernelKind::Pr, TargetKind::Scalar8, G, Cfg, 0);
-  EXPECT_TRUE(verifyKernelOutput(KernelKind::Pr, G, 0, Out, Cfg));
+  EXPECT_TRUE(
+      certified(verify::checkKernelOutput(KernelKind::Pr, G, 0, Out, Cfg)));
   EXPECT_GT(statGet(Stat::CombinedLanesSaved), 0u);
 }
 #endif // EGACS_STATS
