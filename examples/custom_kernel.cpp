@@ -34,7 +34,10 @@ namespace {
 ///  * vertex vectors with tail masks (forEachWorklistSlice);
 ///  * per-lane edge iteration (plainForEachEdge) with gathers;
 ///  * vector atomics (atomicAddVector) and aggregated pushes (pushCoop);
-///  * the outlined Pipe loop (runPipe).
+///  * the outlined Pipe loop (runPipe): it takes round 0's frontier, and
+///    the advance step returns the next round's frontier, or nullopt to
+///    stop. runPipe hands each round's frontier to an attached trace, so
+///    the kernel reports nothing itself.
 template <typename BK>
 std::vector<std::int32_t> kCore(const Csr &G, const KernelConfig &Cfg,
                                 std::int32_t K) {
@@ -55,7 +58,7 @@ std::vector<std::int32_t> kCore(const Csr &G, const KernelConfig &Cfg,
   auto Sched = makeLoopScheduler(Cfg, N + 64);
 
   runPipe(
-      Cfg,
+      Cfg, {WL.in().size(), "push"},
       TaskFn([&](int TaskIdx, int TaskCount) {
         TaskLocal &TL = *Locals[TaskIdx];
         auto OnEdge = [&](VInt<BK>, VInt<BK> Dst, VInt<BK>,
@@ -77,9 +80,11 @@ std::vector<std::int32_t> kCore(const Csr &G, const KernelConfig &Cfg,
             });
         flushEdges<BK>(Cfg, G, TL.Np, OnEdge);
       }),
-      [&] {
+      [&]() -> NextRound {
         WL.swap();
-        return !WL.in().empty();
+        if (WL.in().empty())
+          return std::nullopt;
+        return RoundFrontier{WL.in().size(), "push"};
       });
   return Peeled;
 }

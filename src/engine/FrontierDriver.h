@@ -146,13 +146,10 @@ void frontierDriver(const KernelConfig &Cfg, const VT &G, WorklistPair &WL,
       SparseRound(TaskIdx, TaskCount);
   };
 
-  // Round 0's input frontier, announced before the pipe opens its window.
-  EGACS_TRACED(if (Cfg.Trace) Cfg.Trace->noteFrontier(
-      StartAllSet ? static_cast<std::int64_t>(G.numNodes())
-                  : static_cast<std::int64_t>(WL.in().size()),
-      dirRoundModeName(Mode));)
-
-  runPipe(Cfg, std::vector<TaskFn>{Prepare, Convert, Main}, [&] {
+  std::vector<TaskFn> Phases{Prepare, Convert, Main};
+  RoundFrontier Round0{StartAllSet ? G.numNodes() : WL.in().size(),
+                       dirRoundModeName(Mode)};
+  runPipe(Cfg, Round0, Phases, [&]() -> NextRound {
     bool WasPull = dirModeIsPull(Mode);
     std::int64_t FrontierSize;
     if (WasPull) {
@@ -164,12 +161,10 @@ void frontierDriver(const KernelConfig &Cfg, const VT &G, WorklistPair &WL,
     }
     OnAdvance();
     if (FrontierSize == 0)
-      return false;
+      return std::nullopt;
     if (Cfg.Dir == Direction::Pull) {
       Mode = WasPull ? DirRoundMode::Pull : DirRoundMode::PullEnter;
-      EGACS_TRACED(if (Cfg.Trace) Cfg.Trace->noteFrontier(
-          FrontierSize, dirRoundModeName(Mode));)
-      return true;
+      return RoundFrontier{FrontierSize, dirRoundModeName(Mode)};
     }
     if (!WasPull) {
       std::int64_t Scout = frontierEdges(G, WL.in());
@@ -198,9 +193,7 @@ void frontierDriver(const KernelConfig &Cfg, const VT &G, WorklistPair &WL,
     } else {
       Mode = DirRoundMode::Pull;
     }
-    EGACS_TRACED(if (Cfg.Trace) Cfg.Trace->noteFrontier(
-        FrontierSize, dirRoundModeName(Mode));)
-    return true;
+    return RoundFrontier{FrontierSize, dirRoundModeName(Mode)};
   });
 }
 

@@ -17,6 +17,10 @@
 ///    semantics. A designated task evaluates the loop condition between
 ///    barriers.
 ///
+/// The pipe owns the round: the caller passes round 0's input frontier and
+/// each advance step returns the next round's frontier (or nullopt to
+/// stop). runPipe is the one place that reports frontiers to a trace.
+///
 //===----------------------------------------------------------------------===//
 
 #ifndef EGACS_ENGINE_PIPEDRIVER_H
@@ -29,39 +33,47 @@
 #include <atomic>
 #include <cassert>
 #include <functional>
+#include <optional>
 #include <vector>
 
 namespace egacs {
 
-/// Runs phases repeatedly until \p AdvanceAndContinue returns false.
+using trace::RoundFrontier;
+
+/// What an advance step returns: the next round's input frontier, or
+/// nullopt when the pipe stops.
+using NextRound = std::optional<RoundFrontier>;
+
+/// Runs phases repeatedly until \p Advance returns nullopt.
 ///
 /// Per iteration, every phase runs as a full task launch (or a barrier
-/// episode under IO); after the last phase, \p AdvanceAndContinue runs
-/// exactly once on one thread — it typically swaps worklists — and its
-/// return decides whether another iteration starts.
+/// episode under IO); after the last phase, \p Advance runs exactly once on
+/// one thread — it typically swaps worklists — and returns the frontier the
+/// next iteration consumes. \p Round0 is the first iteration's frontier.
 inline void runPipe(const KernelConfig &Cfg,
+                    [[maybe_unused]] RoundFrontier Round0,
                     const std::vector<TaskFn> &Phases,
-                    const std::function<bool()> &AdvanceAndContinue) {
+                    const std::function<NextRound()> &Advance) {
   assert(Cfg.TS && "kernel config needs a task system");
   assert(!Phases.empty() && "pipe needs at least one phase");
 
-  // Tracing wraps the advance step: each AdvanceAndContinue call closes one
-  // frontier round (stat + hardware-counter deltas) and opens the next.
-  // Both hooks run on the thread driving the loop — the host here, task 0
-  // under Iteration Outlining — so the lazily-opened perf counters profile
-  // the thread that actually executes rounds.
-  EGACS_TRACED(if (Cfg.Trace) Cfg.Trace->pipeBegin();)
-  auto Advance = [&] {
-    bool Continue = AdvanceAndContinue();
-    EGACS_TRACED(if (Cfg.Trace) Cfg.Trace->roundMark();)
-    return Continue;
+  // Tracing wraps the advance step: each Advance call closes one frontier
+  // round (stat + hardware-counter deltas) and opens the next with the
+  // frontier Advance returned. Both hooks run on the thread driving the
+  // loop — the host here, task 0 under Iteration Outlining — so the
+  // lazily-opened perf counters profile the thread that executes rounds.
+  EGACS_TRACED(if (Cfg.Trace) Cfg.Trace->pipeBegin(Round0);)
+  auto Step = [&] {
+    NextRound Next = Advance();
+    EGACS_TRACED(if (Cfg.Trace) Cfg.Trace->roundMark(Next);)
+    return Next.has_value();
   };
 
   if (!Cfg.IterationOutlining) {
     for (int Iter = 0; Iter < Cfg.MaxIterations; ++Iter) {
       for (const TaskFn &Phase : Phases)
         Cfg.TS->launch(Cfg.NumTasks, Phase);
-      if (!Advance())
+      if (!Step())
         return;
     }
     return;
@@ -78,7 +90,7 @@ inline void runPipe(const KernelConfig &Cfg,
         Bar.wait();
       }
       if (TaskIdx == 0)
-        Done.store(!Advance(), std::memory_order_release);
+        Done.store(!Step(), std::memory_order_release);
       Bar.wait();
       if (Done.load(std::memory_order_acquire))
         return;
@@ -87,9 +99,10 @@ inline void runPipe(const KernelConfig &Cfg,
 }
 
 /// Convenience overload for single-phase pipes.
-inline void runPipe(const KernelConfig &Cfg, const TaskFn &Phase,
-                    const std::function<bool()> &AdvanceAndContinue) {
-  runPipe(Cfg, std::vector<TaskFn>{Phase}, AdvanceAndContinue);
+inline void runPipe(const KernelConfig &Cfg, RoundFrontier Round0,
+                    const TaskFn &Phase,
+                    const std::function<NextRound()> &Advance) {
+  runPipe(Cfg, Round0, std::vector<TaskFn>{Phase}, Advance);
 }
 
 // TaskRange (the Listing 1 static block decomposition) moved to

@@ -391,7 +391,11 @@ void emitPipe(std::string &Out, const Program &P, const Pipe &Pp,
          "2 * (static_cast<std::int64_t>(G.numEdges()) + G.numNodes()) + "
          "64);\n";
   Out += "  std::int32_t Changed = 0;\n";
-  Out += "  runPipe(Cfg, std::vector<TaskFn>{\n";
+  // Round 0's frontier: every node for a fixpoint sweep (as bfs-tp reports
+  // it), the seeded worklist otherwise; the advance returns the next one.
+  std::string Frontier =
+      Fixpoint ? "{G.numNodes(), \"dense\"}" : "{WL.in().size(), \"push\"}";
+  Out += "  runPipe(Cfg, " + Frontier + ", std::vector<TaskFn>{\n";
   for (const std::string &Inv : Pp.Invocations) {
     Out += "    TaskFn([&](int TaskIdx, int TaskCount) {\n";
     Out += "      " + Inv +
@@ -399,18 +403,19 @@ void emitPipe(std::string &Out, const Program &P, const Pipe &Pp,
            "*Locals[TaskIdx], Changed, TaskIdx, TaskCount);\n";
     Out += "    }),\n";
   }
+  Out += "  }, [&]() -> NextRound {\n";
   if (Fixpoint) {
-    Out += "  }, [&] {\n";
     Out += "    bool More = Changed != 0;\n";
     Out += "    Changed = 0;\n";
-    Out += "    return More;\n";
-    Out += "  });\n";
+    Out += "    if (!More)\n";
   } else {
-    Out += "  }, [&] {\n";
     Out += "    WL.swap();\n";
-    Out += "    return !WL.in().empty();\n";
-    Out += "  });\n";
+    Out += "    if (WL.in().empty())\n";
   }
+  Out += "      return std::nullopt;\n";
+  Out += "    return RoundFrontier" + Frontier + ";\n";
+  Out += "  });\n";
+  Out += "  EGACS_TRACED(if (Cfg.Trace) Cfg.Trace->endRun();)\n";
   Out += "}\n\n";
 
   // Convenience driver: the emitted kernels are layout-generic, this

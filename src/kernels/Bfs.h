@@ -180,21 +180,19 @@ std::vector<std::int32_t> bfsWorklist(const VT &G, const KernelConfig &Cfg,
                     LocalCapacity);
   std::int32_t Level = 0;
 
-  EGACS_TRACED(if (Cfg.Trace) Cfg.Trace->noteFrontier(
-      static_cast<std::int64_t>(WL.in().size()), "push");)
   runPipe(
-      Cfg,
+      Cfg, {WL.in().size(), "push"},
       TaskFn([&](int TaskIdx, int TaskCount) {
         auto E = R.ctx(TaskIdx, TaskCount);
         bfsSparseRound<BK>(E, Dist.data(), Level + 1, WL.in(), WL.out(),
                            FiberLevelCc);
       }),
-      [&] {
+      [&]() -> NextRound {
         WL.swap();
         ++Level;
-        EGACS_TRACED(if (Cfg.Trace) Cfg.Trace->noteFrontier(
-            static_cast<std::int64_t>(WL.in().size()), "push");)
-        return !WL.in().empty();
+        if (WL.in().empty())
+          return std::nullopt;
+        return RoundFrontier{WL.in().size(), "push"};
       });
   return Dist;
 }
@@ -236,10 +234,8 @@ std::vector<std::int32_t> bfsTp(const VT &G, const KernelConfig &Cfg,
   std::int32_t Level = 0;
   std::int32_t Expanded = 0; // relaxations performed in the last round
 
-  EGACS_TRACED(if (Cfg.Trace) Cfg.Trace->noteFrontier(
-      static_cast<std::int64_t>(G.numNodes()), "dense");)
   runPipe(
-      Cfg,
+      Cfg, {G.numNodes(), "dense"},
       TaskFn([&](int TaskIdx, int TaskCount) {
         auto E = R.ctx(TaskIdx, TaskCount);
         std::int32_t Wins = bfs_detail::bfsDenseRound<BK>(
@@ -247,13 +243,13 @@ std::vector<std::int32_t> bfsTp(const VT &G, const KernelConfig &Cfg,
         if (Wins)
           simd::atomicAddGlobal(&Expanded, Wins);
       }),
-      [&] {
+      [&]() -> NextRound {
         ++Level;
         bool Continue = Expanded != 0;
         Expanded = 0;
-        EGACS_TRACED(if (Cfg.Trace) Cfg.Trace->noteFrontier(
-            static_cast<std::int64_t>(G.numNodes()), "dense");)
-        return Continue;
+        if (!Continue)
+          return std::nullopt;
+        return RoundFrontier{G.numNodes(), "dense"};
       });
   return Dist;
 }
@@ -281,10 +277,8 @@ std::vector<std::int32_t> bfsHb(const VT &G, const KernelConfig &Cfg,
   std::int32_t Level = 0;
   bool Dense = false;
 
-  EGACS_TRACED(if (Cfg.Trace) Cfg.Trace->noteFrontier(
-      static_cast<std::int64_t>(WL.in().size()), "push");)
   runPipe(
-      Cfg,
+      Cfg, {WL.in().size(), "push"},
       TaskFn([&](int TaskIdx, int TaskCount) {
         auto E = R.ctx(TaskIdx, TaskCount);
         if (!Dense) {
@@ -297,15 +291,14 @@ std::vector<std::int32_t> bfsHb(const VT &G, const KernelConfig &Cfg,
         bfs_detail::bfsDenseRound<BK>(E, Dist.data(), Level, &WL.out(),
                                       Cfg.Fibers ? &E.TL.Local : nullptr);
       }),
-      [&] {
+      [&]() -> NextRound {
         WL.swap();
         ++Level;
         Dense = WL.in().size() >
                 G.numNodes() / (HybridDenom > 0 ? HybridDenom : 20);
-        EGACS_TRACED(if (Cfg.Trace) Cfg.Trace->noteFrontier(
-            static_cast<std::int64_t>(WL.in().size()),
-            Dense ? "dense" : "push");)
-        return !WL.in().empty();
+        if (WL.in().empty())
+          return std::nullopt;
+        return RoundFrontier{WL.in().size(), Dense ? "dense" : "push"};
       });
   return Dist;
 }

@@ -151,19 +151,17 @@ std::vector<std::int32_t> connectedComponents(const VT &G,
   engine::Run<VT> R(Cfg, G, static_cast<std::int64_t>(Cap),
                     cc_detail::ccPlan(Cfg, Comp.data()));
 
-  EGACS_TRACED(if (Cfg.Trace) Cfg.Trace->noteFrontier(
-      static_cast<std::int64_t>(WL.in().size()), "push");)
   runPipe(
-      Cfg,
+      Cfg, {WL.in().size(), "push"},
       TaskFn([&](int TaskIdx, int TaskCount) {
         auto E = R.ctx(TaskIdx, TaskCount);
         cc_detail::ccSparseRound<BK>(E, Comp.data(), WL.in(), WL.out());
       }),
-      [&] {
+      [&]() -> NextRound {
         WL.swap();
-        EGACS_TRACED(if (Cfg.Trace) Cfg.Trace->noteFrontier(
-            static_cast<std::int64_t>(WL.in().size()), "push");)
-        return !WL.in().empty();
+        if (WL.in().empty())
+          return std::nullopt;
+        return RoundFrontier{WL.in().size(), "push"};
       });
   return Comp;
 }

@@ -145,16 +145,14 @@ std::vector<std::int32_t> maximalIndependentSet(const VT &G,
         });
   };
 
-  EGACS_TRACED(if (Cfg.Trace) Cfg.Trace->noteFrontier(
-      static_cast<std::int64_t>(WL.in().size()), "push");)
-  runPipe(Cfg,
+  runPipe(Cfg, {WL.in().size(), "push"},
           std::vector<TaskFn>{MarkCandidates, DemoteLosers, PromoteSurvivors,
                               ExcludeAndRebuild, Rebuild},
-          [&] {
+          [&]() -> NextRound {
             WL.swap();
-            EGACS_TRACED(if (Cfg.Trace) Cfg.Trace->noteFrontier(
-                static_cast<std::int64_t>(WL.in().size()), "push");)
-            return !WL.in().empty();
+            if (WL.in().empty())
+              return std::nullopt;
+            return RoundFrontier{WL.in().size(), "push"};
           });
   return State;
 }

@@ -211,17 +211,15 @@ MstResult boruvkaMst(const VT &G, const KernelConfig &Cfg) {
         });
   };
 
-  EGACS_TRACED(if (Cfg.Trace) Cfg.Trace->noteFrontier(
-      static_cast<std::int64_t>(G.numNodes()), "dense");)
-  runPipe(Cfg,
+  runPipe(Cfg, {G.numNodes(), "dense"},
           std::vector<TaskFn>{ResetBest, FindMinEdges, HookComponents,
                               Compress},
-          [&] {
+          [&]() -> NextRound {
             bool Continue = Hooked != 0;
             Hooked = 0;
-            EGACS_TRACED(if (Cfg.Trace) Cfg.Trace->noteFrontier(
-                static_cast<std::int64_t>(G.numNodes()), "dense");)
-            return Continue;
+            if (!Continue)
+              return std::nullopt;
+            return RoundFrontier{G.numNodes(), "dense"};
           });
   return Result;
 }

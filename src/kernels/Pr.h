@@ -186,11 +186,9 @@ std::vector<float> pageRank(const VT &G, const KernelConfig &Cfg,
   Phases.push_back(ApplyAndResidual);
   // PR is dense every round: the "frontier" is the full node set and the
   // mode reflects only the scatter/gather direction of phase 2.
-  EGACS_TRACED(const char *PrMode = UsePull ? "pull" : "push";
-               if (Cfg.Trace) Cfg.Trace->noteFrontier(
-                   static_cast<std::int64_t>(N), PrMode);)
-  runPipe(Cfg, Phases,
-          [&] {
+  const RoundFrontier Every{N, UsePull ? "pull" : "push"};
+  runPipe(Cfg, Every, Phases,
+          [&]() -> NextRound {
             std::int32_t MaxBits = 0;
             for (int T = 0; T < Cfg.NumTasks; ++T) {
               std::size_t Slot = static_cast<std::size_t>(T) * ResidualStride;
@@ -201,9 +199,9 @@ std::vector<float> pageRank(const VT &G, const KernelConfig &Cfg,
             float MaxDiff;
             std::memcpy(&MaxDiff, &MaxBits, sizeof(MaxDiff));
             ++Round;
-            EGACS_TRACED(if (Cfg.Trace) Cfg.Trace->noteFrontier(
-                static_cast<std::int64_t>(N), PrMode);)
-            return MaxDiff > Cfg.PrTolerance && Round < MaxRounds;
+            if (MaxDiff > Cfg.PrTolerance && Round < MaxRounds)
+              return Every;
+            return std::nullopt;
           });
   return Rank;
 }

@@ -59,10 +59,8 @@ std::vector<std::int32_t> ssspNf(const VT &G, const KernelConfig &Cfg,
   engine::Run<VT> R(Cfg, G, static_cast<std::int64_t>(Cap), std::move(PF));
   std::int32_t Threshold = Cfg.Delta;
 
-  EGACS_TRACED(if (Cfg.Trace) Cfg.Trace->noteFrontier(
-      static_cast<std::int64_t>(Near.in().size()), "push");)
   runPipe(
-      Cfg,
+      Cfg, {Near.in().size(), "push"},
       TaskFn([&](int TaskIdx, int TaskCount) {
         auto E = R.ctx(TaskIdx, TaskCount);
         VInt<BK> Thresh = splat<BK>(Threshold);
@@ -89,13 +87,10 @@ std::vector<std::int32_t> ssspNf(const VT &G, const KernelConfig &Cfg,
                 pushFrontier<BK>(Cfg, Far, nullptr, Dst, ToFar);
             });
       }),
-      [&] {
+      [&]() -> NextRound {
         Near.swap();
-        if (!Near.in().empty()) {
-          EGACS_TRACED(if (Cfg.Trace) Cfg.Trace->noteFrontier(
-              static_cast<std::int64_t>(Near.in().size()), "push");)
-          return true;
-        }
+        if (!Near.in().empty())
+          return RoundFrontier{Near.in().size(), "push"};
         // Near pile exhausted: advance the threshold and split the far pile
         // until some node becomes near (or everything is done).
         while (Near.in().empty() && !Far.empty()) {
@@ -115,9 +110,9 @@ std::vector<std::int32_t> ssspNf(const VT &G, const KernelConfig &Cfg,
           Far.clear();
           std::swap(Far, FarNext);
         }
-        EGACS_TRACED(if (Cfg.Trace) Cfg.Trace->noteFrontier(
-            static_cast<std::int64_t>(Near.in().size()), "push");)
-        return !Near.in().empty();
+        if (Near.in().empty())
+          return std::nullopt;
+        return RoundFrontier{Near.in().size(), "push"};
       });
   return Dist;
 }

@@ -43,13 +43,9 @@ std::int64_t triangleCount(const VT &G, const KernelConfig &Cfg) {
   // adjacency-list heads at half that distance.
   PrefetchPlan PF = kernelPrefetchPlan(Cfg);
 
-  // Tri is a single-pass kernel (no runPipe): bracket the one launch as one
-  // round so traced runs still get a round record with its stat delta.
-  EGACS_TRACED(if (Cfg.Trace) {
-    Cfg.Trace->noteFrontier(-1, "flat");
-    Cfg.Trace->pipeBegin();
-  })
-  Cfg.TS->launch(Cfg.NumTasks, [&](int TaskIdx, int TaskCount) {
+  // Tri is a single-pass kernel: a one-phase pipe whose advance stops at
+  // once, so traced runs get one frontier-less round with its stat delta.
+  TaskFn Count = [&](int TaskIdx, int TaskCount) {
     trace::TaskTrace *TaskTT = nullptr;
     EGACS_TRACED(if (Cfg.Trace) TaskTT = Cfg.Trace->taskTrace(TaskIdx);)
     std::int64_t LocalCount = 0;
@@ -120,8 +116,12 @@ std::int64_t triangleCount(const VT &G, const KernelConfig &Cfg) {
         TaskTT);
     if (LocalCount)
       atomicAddGlobal64(&Total, LocalCount);
-  });
-  EGACS_TRACED(if (Cfg.Trace) Cfg.Trace->roundMark();)
+  };
+  // One pass has no loop to outline, so it runs as one launch with no
+  // barriers whatever Cfg.IterationOutlining says.
+  KernelConfig OnePass = Cfg;
+  OnePass.IterationOutlining = false;
+  runPipe(OnePass, {-1, "flat"}, Count, [] { return NextRound(); });
   return Total;
 }
 

@@ -7,6 +7,8 @@
 
 #include "trace/Trace.h"
 
+#include <cassert>
+
 namespace egacs::trace {
 
 const char *spanKindName(SpanKind K) {
@@ -30,8 +32,6 @@ void TraceSession::beginRun(std::string Name) {
                std::memory_order_relaxed);
   CurRound.store(0, std::memory_order_relaxed);
   RoundOpen = false;
-  PendingFrontier = -1;
-  PendingMode = "n/a";
   // Round 0's window opens here, not at pipeBegin: run-setup work (init
   // phases, view construction) must land in some round for the per-round
   // deltas to partition the run aggregate.
@@ -58,10 +58,10 @@ void TraceSession::endRun() {
     RoundRecord R;
     R.BeginNs = RoundBeginNs;
     R.EndNs = Now;
-    R.Frontier = CurFrontier;
+    R.Frontier = CurFrontier.Size;
     R.Round = CurRound.load(std::memory_order_relaxed);
     R.Run = Run;
-    R.Mode = CurMode;
+    R.Mode = CurFrontier.Mode;
     R.Delta = Tail;
     if (Rounds.size() < MaxRounds)
       Rounds.push_back(R);
@@ -73,22 +73,18 @@ void TraceSession::endRun() {
   StatsBase = StatsNow;
 }
 
-void TraceSession::pipeBegin() {
+void TraceSession::pipeBegin(RoundFrontier Round0) {
   if (Runs.empty())
     beginRun("run");
   // The stats baseline and window start deliberately carry over (from
   // beginRun for the first pipe, from the previous roundMark for later
   // pipes) so inter-pipe work stays attributed to a round window.
-  CurFrontier = PendingFrontier;
-  CurMode = PendingMode;
-  PendingFrontier = -1;
-  PendingMode = "n/a";
+  CurFrontier = Round0;
   RoundOpen = true;
 }
 
-void TraceSession::roundMark() {
-  if (!RoundOpen)
-    pipeBegin();
+void TraceSession::roundMark(std::optional<RoundFrontier> Next) {
+  assert(RoundOpen && "roundMark outside a pipe");
   // Lazy-open the hardware counters on the thread that actually drives the
   // rounds (task 0 under iteration outlining, the host otherwise). The
   // round that performed the open has no baseline, so its sample stays
@@ -106,10 +102,10 @@ void TraceSession::roundMark() {
   RoundRecord R;
   R.BeginNs = RoundBeginNs;
   R.EndNs = Now;
-  R.Frontier = CurFrontier;
+  R.Frontier = CurFrontier.Size;
   R.Round = CurRound.load(std::memory_order_relaxed);
   R.Run = CurRun.load(std::memory_order_relaxed);
-  R.Mode = CurMode;
+  R.Mode = CurFrontier.Mode;
   R.Delta = StatsNow - StatsBase;
   if (!PerfFresh)
     R.Perf = PerfNow - PerfBase;
@@ -122,10 +118,9 @@ void TraceSession::roundMark() {
   RoundBeginNs = Now;
   StatsBase = StatsNow;
   PerfBase = PerfNow;
-  CurFrontier = PendingFrontier;
-  CurMode = PendingMode;
-  PendingFrontier = -1;
-  PendingMode = "n/a";
+  // After a stop no round reads the open window's frontier.
+  if (Next)
+    CurFrontier = *Next;
   CurRound.fetch_add(1, std::memory_order_relaxed);
 }
 

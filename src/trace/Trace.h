@@ -12,7 +12,9 @@
 ///  * one RoundRecord per frontier round — wall-time bounds, input frontier
 ///    size, traversal direction, the per-round StatsSnapshot delta, and a
 ///    PerfCounters hardware-counter delta (cycles / instructions / LLC
-///    misses / branch misses) when perf_event_open is available;
+///    misses / branch misses) when perf_event_open is available. The
+///    frontier arrives only through pipeBegin/roundMark, which runPipe
+///    calls with round 0's frontier and then each advance step's result;
 ///  * per-task operator spans (ScopedSpan into a per-task single-writer
 ///    ring buffer): every edgeMap / vertexMap episode, update-engine
 ///    scatter/merge phase, and staged-prefetch inspect/execute stage;
@@ -44,6 +46,7 @@
 #include <cstdint>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -77,6 +80,13 @@ struct Span {
   std::uint32_t Round = 0;
   std::uint16_t Run = 0;
   SpanKind Kind = SpanKind::NumKinds;
+};
+
+/// A round's input frontier: its size (-1 when the kernel has none, as in
+/// single-pass tri) and its static-string traversal mode.
+struct RoundFrontier {
+  std::int64_t Size = -1;
+  const char *Mode = "flat";
 };
 
 /// One frontier round: formed between consecutive roundMark() calls.
@@ -155,8 +165,8 @@ private:
 
 /// One tracing session, attachable to any number of sequential kernel runs
 /// via KernelConfig::Trace. All serial-surface methods (beginRun, pipeBegin,
-/// roundMark, noteFrontier, noteDirectionSwitch) must be called from the
-/// single thread (or serial window) driving the kernel's iteration loop.
+/// roundMark, noteDirectionSwitch) must be called from the single thread
+/// (or serial window) driving the kernel's iteration loop.
 class TraceSession {
 public:
   explicit TraceSession(std::size_t RingCapacity = 1u << 13)
@@ -178,23 +188,17 @@ public:
   /// partition the run aggregate exactly.
   void endRun();
 
-  /// Called when a pipe (iteration loop) starts: opens the first round's
-  /// timing window (the stats baseline carries over from beginRun, or from
-  /// the previous pipe's last roundMark, so setup work between pipes stays
-  /// attributed to a round).
-  void pipeBegin();
+  /// Called when a pipe (iteration loop) starts, with round 0's input
+  /// frontier: opens the first round's timing window (the stats baseline
+  /// carries over from beginRun, or from the previous pipe's last
+  /// roundMark, so setup work between pipes stays attributed to a round).
+  void pipeBegin(RoundFrontier Round0);
 
   /// Called at the end of each advance step: closes the current round into
   /// a RoundRecord (stat + perf deltas since the previous mark) and opens
-  /// the next round's window.
-  void roundMark();
-
-  /// Announces the input frontier of the *next* round (or of round 0 when
-  /// called before pipeBegin): its size and traversal mode.
-  void noteFrontier(std::int64_t Size, const char *Mode) {
-    PendingFrontier = Size;
-    PendingMode = Mode;
-  }
+  /// the next round's window, whose input frontier is \p Next (nullopt when
+  /// the pipe stops).
+  void roundMark(std::optional<RoundFrontier> Next);
 
   /// Records an instant event (e.g. "push->pull") at the current time,
   /// attributed to the round being closed.
@@ -257,10 +261,7 @@ private:
   // Open-round state (serial surface only).
   bool RoundOpen = false;
   std::uint64_t RoundBeginNs = 0;
-  std::int64_t CurFrontier = -1;
-  const char *CurMode = "n/a";
-  std::int64_t PendingFrontier = -1;
-  const char *PendingMode = "n/a";
+  RoundFrontier CurFrontier;
   StatsSnapshot StatsBase;
 
   PerfCounters Perf;

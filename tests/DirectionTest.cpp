@@ -212,8 +212,9 @@ TEST(DirectionLoader, BinaryV3RoundTripsTranspose) {
     ASSERT_EQ(LT.rowStart()[N], T.rowStart()[N]);
   for (EdgeId E = 0; E < T.numEdges(); ++E) {
     ASSERT_EQ(LT.edgeDst()[E], T.edgeDst()[E]);
-    if (T.hasWeights())
+    if (T.hasWeights()) {
       ASSERT_EQ(LT.edgeWeight()[E], T.edgeWeight()[E]);
+    }
   }
 
   // The adopted transpose drives a pull traversal to the push result.

@@ -292,8 +292,9 @@ TEST(Loaders, BinaryRoundTripExact) {
     EXPECT_EQ(Loaded->rowStart()[N], Original.rowStart()[N]);
   for (EdgeId E = 0; E < Original.numEdges(); ++E) {
     EXPECT_EQ(Loaded->edgeDst()[E], Original.edgeDst()[E]);
-    if (Original.hasWeights())
+    if (Original.hasWeights()) {
       EXPECT_EQ(Loaded->edgeWeight()[E], Original.edgeWeight()[E]);
+    }
   }
 }
 

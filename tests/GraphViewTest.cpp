@@ -133,9 +133,10 @@ TEST(HubCsrViewTest, OrderIsDegreeDescendingPermutation) {
     ASSERT_LT(N, G.numNodes());
     EXPECT_FALSE(Seen[static_cast<std::size_t>(N)]) << "duplicate slot node";
     Seen[static_cast<std::size_t>(N)] = true;
-    if (S > 0)
+    if (S > 0) {
       EXPECT_LE(G.degree(N), G.degree(Order[S - 1]))
           << "order not degree-descending at slot " << S;
+    }
   }
 
   // The hub prefix is exactly the nodes at or above the threshold.

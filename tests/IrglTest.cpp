@@ -252,11 +252,11 @@ int main() {
            << "}\n";
   }
 
-#ifndef EGACS_GEN_SANITIZE_FLAG
-#define EGACS_GEN_SANITIZE_FLAG ""
+#ifndef EGACS_GEN_FLAGS
+#define EGACS_GEN_FLAGS ""
 #endif
   std::string Compile = std::string("g++ -std=c++20 -O1 ") +
-                        EGACS_GEN_SANITIZE_FLAG + " -I " + EGACS_SRC_DIR +
+                        EGACS_GEN_FLAGS + " -I " + EGACS_SRC_DIR +
                         " " + DriverPath + " " + EGACS_LIB_PATH +
                         " -lpthread -o " + BinPath + " 2> " + Dir +
                         "/egacs_gen_" + TestName + ".log";
@@ -295,6 +295,62 @@ TEST(IrglEndToEnd, GeneratedUnoptimizedBfsAlsoCorrect) {
   KernelConfig Cfg = KernelConfig::unoptimized(TS, 1);
   egacs::gen::bfs_pipe_run<simd::ScalarBackend<4>>(G, Cfg, State, 0);
   return verify::checkBfsDistances(G, 0, Dist).Ok ? 0 : 1;
+)cpp");
+}
+
+TEST(IrglEndToEnd, TracedGeneratedBfsReportsEveryRound) {
+#if !defined(EGACS_TRACE) || !defined(EGACS_STATS)
+  GTEST_SKIP() << "needs tracing and the counters compiled in";
+#endif
+  // A traced generated pipe closes its run and reports each round's
+  // frontier through runPipe: one round per BFS level, every round a
+  // push round with a real frontier, and the per-round counter deltas
+  // summing to the whole run's.
+  compileAndRun("bfs_traced", buildBfsProgram(), OptimizationBundle::all(),
+                R"cpp(
+  std::vector<std::int32_t> Dist(static_cast<std::size_t>(G.numNodes()),
+                                 InfDist);
+  Dist[0] = 0;
+  egacs::gen::bfs_State State;
+  State.dist = Dist.data();
+  SerialTaskSystem TS;
+  KernelConfig Cfg = KernelConfig::allOptimizations(TS, 1);
+  trace::TraceSession S;
+  Cfg.Trace = &S;
+  StatsSnapshot Before = StatsSnapshot::capture();
+  egacs::gen::bfs_pipe_run<simd::ScalarBackend<8>>(G, Cfg, State, 0);
+  StatsSnapshot Run = StatsSnapshot::capture() - Before;
+  if (!verify::checkBfsDistances(G, 0, Dist).Ok)
+    return 1;
+  int Failures = 0;
+  std::int32_t Levels = 0;
+  for (std::int32_t D : Dist)
+    if (D != InfDist && D + 1 > Levels)
+      Levels = D + 1;
+  if (S.rounds().size() != static_cast<std::size_t>(Levels)) {
+    std::fprintf(stderr, "%zu rounds for %d levels\n", S.rounds().size(),
+                 Levels);
+    ++Failures;
+  }
+  for (const trace::RoundRecord &R : S.rounds())
+    if (R.Frontier < 0 || std::string(R.Mode) != "push") {
+      std::fprintf(stderr, "round %u: frontier %lld, mode %s\n", R.Round,
+                   static_cast<long long>(R.Frontier), R.Mode);
+      ++Failures;
+    }
+  for (unsigned I = 0; I < static_cast<unsigned>(Stat::NumStats); ++I) {
+    Stat St = static_cast<Stat>(I);
+    std::uint64_t Sum = 0;
+    for (const trace::RoundRecord &R : S.rounds())
+      Sum += R.Delta.get(St);
+    if (Sum != Run.get(St)) {
+      std::fprintf(stderr, "%s: rounds sum to %llu, the run to %llu\n",
+                   statName(St), static_cast<unsigned long long>(Sum),
+                   static_cast<unsigned long long>(Run.get(St)));
+      ++Failures;
+    }
+  }
+  return Failures == 0 ? 0 : 2;
 )cpp");
 }
 

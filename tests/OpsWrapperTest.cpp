@@ -196,12 +196,14 @@ TEST(TargetRegistry, DispatchSelectsMatchingWidth) {
   EXPECT_EQ(WidthOf(TargetKind::Scalar1), 1);
   EXPECT_EQ(WidthOf(TargetKind::Scalar8), 8);
 #ifdef EGACS_HAVE_AVX2
-  if (targetSupported(TargetKind::Avx2x16))
+  if (targetSupported(TargetKind::Avx2x16)) {
     EXPECT_EQ(WidthOf(TargetKind::Avx2x16), 16);
+  }
 #endif
 #ifdef EGACS_HAVE_AVX512
-  if (targetSupported(TargetKind::Avx512x8))
+  if (targetSupported(TargetKind::Avx512x8)) {
     EXPECT_EQ(WidthOf(TargetKind::Avx512x8), 8);
+  }
 #endif
 }
 

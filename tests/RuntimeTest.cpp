@@ -146,6 +146,13 @@ TEST(BarrierTest, SingleParticipantNeverBlocks) {
 // Pipe driver (Iteration Outlining semantics).
 //===----------------------------------------------------------------------===//
 
+/// An advance result for pipes without a frontier: continue while \p More.
+NextRound continueIf(bool More) {
+  if (!More)
+    return std::nullopt;
+  return RoundFrontier{-1, "flat"};
+}
+
 TEST(PipeDriverTest, OutlinedAndDefaultRunSamePhases) {
   for (bool Outlined : {false, true}) {
     ThreadPoolTaskSystem Pool(3);
@@ -154,11 +161,11 @@ TEST(PipeDriverTest, OutlinedAndDefaultRunSamePhases) {
 
     std::atomic<int> Phase1Runs{0}, Phase2Runs{0};
     int Iterations = 0;
-    runPipe(Cfg,
+    runPipe(Cfg, {-1, "flat"},
             std::vector<TaskFn>{
                 TaskFn([&](int, int) { Phase1Runs.fetch_add(1); }),
                 TaskFn([&](int, int) { Phase2Runs.fetch_add(1); })},
-            [&] { return ++Iterations < 5; });
+            [&] { return continueIf(++Iterations < 5); });
     EXPECT_EQ(Iterations, 5) << "outlined=" << Outlined;
     EXPECT_EQ(Phase1Runs.load(), 5 * 3) << "outlined=" << Outlined;
     EXPECT_EQ(Phase2Runs.load(), 5 * 3) << "outlined=" << Outlined;
@@ -173,7 +180,7 @@ TEST(PipeDriverTest, PhaseBarrierOrdering) {
   std::atomic<int> InPhase1{0};
   std::atomic<bool> Violation{false};
   int Iterations = 0;
-  runPipe(Cfg,
+  runPipe(Cfg, {-1, "flat"},
           std::vector<TaskFn>{TaskFn([&](int, int) {
                                 InPhase1.fetch_add(1);
                               }),
@@ -181,8 +188,41 @@ TEST(PipeDriverTest, PhaseBarrierOrdering) {
                                 if (InPhase1.load() % 4 != 0)
                                   Violation.store(true);
                               })},
-          [&] { return ++Iterations < 20; });
+          [&] { return continueIf(++Iterations < 20); });
   EXPECT_FALSE(Violation.load());
+}
+
+TEST(PipeDriverTest, TracedRoundsCarryTheFrontierEachAdvanceReturned) {
+#ifndef EGACS_TRACE
+  GTEST_SKIP() << "tracing compiled out";
+#else
+  // runPipe is the only frontier reporter: round 0 must carry the frontier
+  // passed in, and round I > 0 the one the (I-1)-th advance returned.
+  static const char *const Modes[] = {"push", "pull", "dense"};
+  for (bool Outlined : {false, true}) {
+    ThreadPoolTaskSystem Pool(3);
+    KernelConfig Cfg = KernelConfig::allOptimizations(Pool, 3);
+    Cfg.IterationOutlining = Outlined;
+    trace::TraceSession S;
+    Cfg.Trace = &S;
+    std::vector<RoundFrontier> Fed{{7, "push"}};
+    runPipe(Cfg, Fed[0], TaskFn([](int, int) {}), [&]() -> NextRound {
+      if (Fed.size() == 5)
+        return std::nullopt;
+      RoundFrontier Next{static_cast<std::int64_t>(Fed.size()) * 100,
+                         Modes[Fed.size() % 3]};
+      Fed.push_back(Next);
+      return Next;
+    });
+    ASSERT_EQ(S.rounds().size(), Fed.size()) << "outlined=" << Outlined;
+    for (std::size_t I = 0; I < Fed.size(); ++I) {
+      const trace::RoundRecord &R = S.rounds()[I];
+      EXPECT_EQ(R.Round, I) << "outlined=" << Outlined;
+      EXPECT_EQ(R.Frontier, Fed[I].Size) << "outlined=" << Outlined;
+      EXPECT_STREQ(R.Mode, Fed[I].Mode) << "outlined=" << Outlined;
+    }
+  }
+#endif
 }
 
 TEST(PipeDriverTest, MaxIterationsCapsRunawayLoops) {
@@ -190,8 +230,8 @@ TEST(PipeDriverTest, MaxIterationsCapsRunawayLoops) {
   KernelConfig Cfg = KernelConfig::allOptimizations(TS, 1);
   Cfg.MaxIterations = 7;
   int BodyRuns = 0;
-  runPipe(Cfg, TaskFn([&](int, int) { ++BodyRuns; }),
-          [] { return true; /* never converges */ });
+  runPipe(Cfg, {-1, "flat"}, TaskFn([&](int, int) { ++BodyRuns; }),
+          [] { return continueIf(true); /* never converges */ });
   EXPECT_EQ(BodyRuns, 7);
 }
 

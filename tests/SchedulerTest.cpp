@@ -190,12 +190,13 @@ TEST_P(LoopSchedulerTest, DispatchesEveryIndexExactlyOnce) {
                               1, std::memory_order_relaxed);
                       });
       Bar.wait(); // orders the episode reset before the next check
-      if (TaskIdx == 0)
+      if (TaskIdx == 0) {
         for (std::int64_t I = 0; I < Size; ++I)
           ASSERT_EQ(Hits[static_cast<std::size_t>(I)].load(
                         std::memory_order_relaxed),
                     1)
               << "index " << I << " of size " << Size;
+      }
       Bar.wait();
     }
   });
@@ -284,7 +285,9 @@ TEST(LoopSchedulerStealing, StallingOwnerGetsRobbed) {
 
 TEST(SchedKernels, BfsPrCcMatchReferenceUnderDynamicPolicies) {
   using BK = simd::NativeBackend;
-  Csr G = namedGraph("rmat", /*Scale=*/8);
+  // 16384 nodes: every node sweep is 512 chunks of 32, so every task takes
+  // many chunks off the cursor and has deque work to lose to thieves.
+  Csr G = namedGraph("rmat", /*Scale=*/2);
   ThreadPoolTaskSystem Pool(4);
   for (SchedPolicy P : {SchedPolicy::Chunked, SchedPolicy::Stealing}) {
     KernelConfig Cfg = KernelConfig::allOptimizations(Pool, 4);

@@ -229,8 +229,9 @@ TYPED_TEST(SimdBackendTest, GatherScatter) {
     D.randomize(Rng, 0, TableSize);
     auto G = toLanes<BK>(BK::gather(Base.data(), D.vecA(), D.mask()));
     for (int I = 0; I < BK::Width; ++I)
-      if (D.M[I])
+      if (D.M[I]) {
         EXPECT_EQ(G[I], Base[static_cast<std::size_t>(D.A[I])]);
+      }
 
     std::vector<std::int32_t> Target(TableSize, -1);
     std::vector<std::int32_t> Expected(TableSize, -1);
@@ -252,8 +253,9 @@ TYPED_TEST(SimdBackendTest, MaskedLoadStore) {
     D.randomize(Rng);
     auto Loaded = toLanes<BK>(BK::maskedLoad(D.A, D.mask()));
     for (int I = 0; I < BK::Width; ++I)
-      if (D.M[I])
+      if (D.M[I]) {
         EXPECT_EQ(Loaded[I], D.A[I]);
+      }
 
     std::int32_t Out[64];
     for (int I = 0; I < BK::Width; ++I)
@@ -389,8 +391,9 @@ TYPED_TEST(SimdBackendTest, FloatGatherScatter) {
     float Out[64];
     BK::storeF(Out, BK::gatherF(Base.data(), D.vecA(), D.mask()));
     for (int I = 0; I < BK::Width; ++I)
-      if (D.M[I])
+      if (D.M[I]) {
         EXPECT_FLOAT_EQ(Out[I], Base[static_cast<std::size_t>(D.A[I])]);
+      }
 
     std::vector<float> Target(TableSize, -1.0f);
     std::vector<float> Expected(TableSize, -1.0f);

@@ -140,10 +140,11 @@ TEST(Trace, SpansWellNestedPerTask) {
                 static_cast<unsigned>(trace::SpanKind::NumKinds));
       while (!Stack.empty() && Sp.BeginNs >= Stack.back())
         Stack.pop_back();
-      if (!Stack.empty())
+      if (!Stack.empty()) {
         EXPECT_LE(Sp.EndNs, Stack.back())
             << "span " << trace::spanKindName(Sp.Kind)
             << " partially overlaps an enclosing span";
+      }
       Stack.push_back(Sp.EndNs);
     }
   }

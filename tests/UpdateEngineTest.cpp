@@ -130,8 +130,9 @@ TYPED_TEST(ConflictCombineTest, AllLanesSameIndexFloatAdd) {
                                maskAll<BK>());
   EXPECT_FLOAT_EQ(Base[3], Want);
   for (int I = 0; I < 8; ++I)
-    if (I != 3)
+    if (I != 3) {
       EXPECT_EQ(Base[I], 0.0f);
+    }
 #ifdef EGACS_STATS
   if (W > 1) {
     EXPECT_EQ(statGet(Stat::CasAttempts), 1u) << BK::Name;
@@ -161,8 +162,9 @@ TYPED_TEST(ConflictCombineTest, AllLanesSameIndexMinMarksMinLane) {
   EXPECT_EQ(Base[5], 50 - (W - 1));
   EXPECT_EQ(maskBits(Won), std::uint64_t(1) << (W - 1)) << BK::Name;
 #ifdef EGACS_STATS
-  if (W > 1)
+  if (W > 1) {
     EXPECT_EQ(statGet(Stat::CasAttempts), 1u) << BK::Name;
+  }
 #endif
   // Losing relaxation: nothing shrinks, nobody wins.
   VMask<BK> Lost = atomicMinVectorCombined<BK>(Base, splat<BK>(5),

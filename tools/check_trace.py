@@ -9,7 +9,9 @@ Checks, in order:
      items/minimum -- exactly what the schema file uses).
   2. Every ph=X event has dur >= 0; every cat=round event satisfies the
      schema's roundArgs contract (round/frontier/direction/stats, plus the
-     four perf keys when a perf object is present).
+     four perf keys when a perf object is present) and carries a reported
+     frontier: its direction is never "n/a", and frontier -1 (no frontier)
+     appears only with direction "flat".
   3. Per (pid, tid), complete events are well nested: sorted by begin time,
      each event lies fully inside or fully outside every other.
   4. Optional: at least --min-rounds round events exist (CI smoke floor).
@@ -83,6 +85,12 @@ def check_round_events(events, round_schema):
         if not isinstance(args, dict):
             fail("%s: round event without args" % where)
         validate(args, round_schema, where + ".args")
+        if args["direction"] == "n/a":
+            fail("%s: round without a reported frontier (direction n/a)"
+                 % where)
+        if args["frontier"] == -1 and args["direction"] != "flat":
+            fail("%s: frontier -1 with direction %r (only 'flat' rounds "
+                 "have no frontier)" % (where, args["direction"]))
         for stat, count in args["stats"].items():
             if not isinstance(count, int) or isinstance(count, bool) \
                     or count < 0:
