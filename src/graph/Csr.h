@@ -35,6 +35,8 @@ using EdgeId = std::int32_t;
 /// Edge weight (integer distances, as in the DIMACS road graphs).
 using Weight = std::int32_t;
 
+class TaskSystem;
+
 /// A weighted directed graph in compressed-sparse-row form. Undirected
 /// graphs are stored symmetrized (both arcs present).
 class Csr {
@@ -43,9 +45,11 @@ public:
 
   /// Takes ownership of fully built CSR arrays. RowStart must have
   /// NumNodes+1 entries with RowStart[NumNodes] == NumEdges; EdgeWeights may
-  /// be empty for unweighted graphs.
+  /// be empty for unweighted graphs. \p SortedRows promises that every row
+  /// is already in sortedByDestination() order.
   Csr(NodeId NumNodes, AlignedBuffer<EdgeId> RowStart,
-      AlignedBuffer<NodeId> EdgeDst, AlignedBuffer<Weight> EdgeWeights);
+      AlignedBuffer<NodeId> EdgeDst, AlignedBuffer<Weight> EdgeWeights,
+      bool SortedRows = false);
 
   NodeId numNodes() const { return NodeCount; }
   EdgeId numEdges() const { return EdgeCount; }
@@ -81,12 +85,21 @@ public:
   /// builders) read it for free.
   EdgeId maxDegree() const { return MaxDeg; }
 
-  /// Returns the transpose (all arcs reversed). Weights follow their arc.
+  /// Returns the transpose (all arcs reversed). Weights follow their arc,
+  /// and each transposed row lists its sources in ascending order. Large
+  /// graphs are transposed on one thread per hardware thread; the result is
+  /// the same for any worker count.
   Csr transpose() const;
+  /// The same, on \p TS's workers.
+  Csr transpose(TaskSystem &TS) const;
 
-  /// Returns a copy whose adjacency lists are sorted by destination
-  /// (required by the triangle-counting intersection kernel).
+  /// Returns a copy whose adjacency lists are sorted by destination, then
+  /// weight (required by the triangle-counting intersection kernel). A
+  /// graph whose rows are already sorted is copied, not re-sorted.
   Csr sortedByDestination() const;
+
+  /// True when every row is known to be in sortedByDestination() order.
+  bool rowsSorted() const { return RowsSorted; }
 
   /// Approximate resident memory of the graph arrays in bytes.
   std::size_t memoryFootprintBytes() const;
@@ -95,6 +108,7 @@ private:
   NodeId NodeCount = 0;
   EdgeId EdgeCount = 0;
   EdgeId MaxDeg = 0;
+  bool RowsSorted = false;
   AlignedBuffer<EdgeId> Rows;
   AlignedBuffer<NodeId> Dsts;
   AlignedBuffer<Weight> Weights;
@@ -133,8 +147,16 @@ public:
 /// Builds a CSR graph from \p Edges over \p NumNodes nodes. Inputs whose
 /// final edge count (after symmetrization) overflows EdgeId are rejected
 /// with a GraphSizeError -- never silently wrapped.
+///
+/// Without Dedupe each row keeps its arcs in input order (symmetrized
+/// reverse arcs after all input arcs), built serially. With Dedupe each row
+/// comes out sorted by destination, and large inputs are built on one
+/// thread per hardware thread; the result is the same for any worker count.
 Csr buildCsr(NodeId NumNodes, std::vector<RawEdge> Edges,
              const BuildOptions &Opts = {});
+/// The same, on \p TS's workers (tests pin the worker count with it).
+Csr buildCsr(TaskSystem &TS, NodeId NumNodes, std::vector<RawEdge> Edges,
+             const BuildOptions &Opts);
 
 } // namespace egacs
 

@@ -7,6 +7,8 @@
 
 #include "graph/Generators.h"
 
+#include "runtime/TaskSystem.h"
+#include "support/CpuInfo.h"
 #include "support/Rng.h"
 
 #include <algorithm>
@@ -42,6 +44,36 @@ void checkGeneratorSize(const char *Generator, std::int64_t NumNodes,
                   static_cast<unsigned long long>(RequestedArcs * 2));
     throw GraphSizeError(Msg);
   }
+}
+
+/// Arcs per generator task.
+constexpr std::int64_t ArcsPerChunk = 1 << 16;
+
+/// Returns NumArcs arcs made by MakeArc(Rng), as if one generator seeded
+/// with \p Seed made them all in order, where each arc takes exactly
+/// \p DrawsPerArc calls of next(). Chunks of ArcsPerChunk arcs run as tasks
+/// on \p TS, each from the seed state advanced past the earlier chunks'
+/// draws, so the arcs do not depend on the worker count.
+template <typename MakeArcT>
+std::vector<RawEdge> generateArcs(TaskSystem &TS, std::int64_t NumArcs,
+                                  std::uint64_t Seed,
+                                  std::uint64_t DrawsPerArc,
+                                  const MakeArcT &MakeArc) {
+  std::vector<RawEdge> Edges(static_cast<std::size_t>(NumArcs));
+  const int NumChunks =
+      static_cast<int>((NumArcs + ArcsPerChunk - 1) / ArcsPerChunk);
+  auto Chunk = [&](int K, int) {
+    Xoshiro256 Rng(Seed);
+    Rng.advance(static_cast<std::uint64_t>(K) * ArcsPerChunk * DrawsPerArc);
+    const std::int64_t End = std::min(NumArcs, (K + 1) * ArcsPerChunk);
+    for (std::int64_t I = K * ArcsPerChunk; I < End; ++I)
+      Edges[static_cast<std::size_t>(I)] = MakeArc(Rng);
+  };
+  if (NumChunks == 1)
+    Chunk(0, 1);
+  else if (NumChunks > 1)
+    TS.launch(NumChunks, Chunk);
+  return Edges;
 }
 
 } // namespace
@@ -84,16 +116,21 @@ Csr egacs::roadGraph(int Width, int Height, double DiagonalFraction,
 
 Csr egacs::rmatGraph(int Scale, int EdgeFactor, std::uint64_t Seed, double A,
                      double B, double C) {
+  SpawnTaskSystem TS(cpuInfo().HardwareThreads);
+  return rmatGraph(TS, Scale, EdgeFactor, Seed, A, B, C);
+}
+
+Csr egacs::rmatGraph(TaskSystem &TS, int Scale, int EdgeFactor,
+                     std::uint64_t Seed, double A, double B, double C) {
   assert(Scale >= 1 && Scale < 31 && "unsupported RMAT scale");
-  Xoshiro256 Rng(Seed);
   NodeId NumNodes = static_cast<NodeId>(1) << Scale;
   std::int64_t NumArcs = static_cast<std::int64_t>(EdgeFactor) * NumNodes;
   checkGeneratorSize("rmatGraph", NumNodes,
                      static_cast<std::uint64_t>(NumArcs));
-  std::vector<RawEdge> Edges;
-  Edges.reserve(static_cast<std::size_t>(NumArcs));
-
-  for (std::int64_t I = 0; I < NumArcs; ++I) {
+  // Five draws per bit (the quadrant pick and four noisy quadrant weights),
+  // then one for the weight (nextBounded never rejects).
+  const std::uint64_t DrawsPerArc = 5 * static_cast<std::uint64_t>(Scale) + 1;
+  auto MakeArc = [&](Xoshiro256 &Rng) {
     NodeId Src = 0, Dst = 0;
     for (int Bit = 0; Bit < Scale; ++Bit) {
       double R = Rng.nextDouble();
@@ -116,36 +153,41 @@ Csr egacs::rmatGraph(int Scale, int EdgeFactor, std::uint64_t Seed, double A,
         Dst |= 1 << Bit;
       }
     }
-    Edges.push_back(
-        {Src, Dst, static_cast<Weight>(1 + Rng.nextBounded(255))});
-  }
+    return RawEdge{Src, Dst, static_cast<Weight>(1 + Rng.nextBounded(255))};
+  };
   BuildOptions Opts;
   Opts.Symmetrize = true;
   Opts.DropSelfLoops = true;
   Opts.Dedupe = true;
-  return buildCsr(NumNodes, std::move(Edges), Opts);
+  return buildCsr(
+      TS, NumNodes, generateArcs(TS, NumArcs, Seed, DrawsPerArc, MakeArc),
+      Opts);
 }
 
 Csr egacs::uniformRandomGraph(NodeId NumNodes, int Degree,
                               std::uint64_t Seed) {
+  SpawnTaskSystem TS(cpuInfo().HardwareThreads);
+  return uniformRandomGraph(TS, NumNodes, Degree, Seed);
+}
+
+Csr egacs::uniformRandomGraph(TaskSystem &TS, NodeId NumNodes, int Degree,
+                              std::uint64_t Seed) {
   assert(NumNodes > 1 && "graph must have at least two nodes");
-  Xoshiro256 Rng(Seed);
   std::int64_t NumArcs = static_cast<std::int64_t>(Degree) * NumNodes;
   checkGeneratorSize("uniformRandomGraph", NumNodes,
                      static_cast<std::uint64_t>(NumArcs));
-  std::vector<RawEdge> Edges;
-  Edges.reserve(static_cast<std::size_t>(NumArcs));
-  for (std::int64_t I = 0; I < NumArcs; ++I) {
+  auto MakeArc = [NumNodes](Xoshiro256 &Rng) {
     NodeId Src = static_cast<NodeId>(Rng.nextBounded(NumNodes));
     NodeId Dst = static_cast<NodeId>(Rng.nextBounded(NumNodes));
-    Edges.push_back(
-        {Src, Dst, static_cast<Weight>(1 + Rng.nextBounded(255))});
-  }
+    return RawEdge{Src, Dst, static_cast<Weight>(1 + Rng.nextBounded(255))};
+  };
   BuildOptions Opts;
   Opts.Symmetrize = true;
   Opts.DropSelfLoops = true;
   Opts.Dedupe = true;
-  return buildCsr(NumNodes, std::move(Edges), Opts);
+  return buildCsr(
+      TS, NumNodes, generateArcs(TS, NumArcs, Seed, /*DrawsPerArc=*/3, MakeArc),
+      Opts);
 }
 
 Csr egacs::pathGraph(NodeId NumNodes, bool Weighted) {

@@ -50,6 +50,14 @@ Csr rmatGraph(int Scale, int EdgeFactor = 8, std::uint64_t Seed = 2,
 Csr uniformRandomGraph(NodeId NumNodes, int Degree = 4,
                        std::uint64_t Seed = 3);
 
+/// rmatGraph and uniformRandomGraph on \p TS's workers (tests pin the
+/// worker count with these). The overloads above run them on one thread per
+/// hardware thread; the graph is the same for any worker count.
+Csr rmatGraph(TaskSystem &TS, int Scale, int EdgeFactor, std::uint64_t Seed,
+              double A = 0.57, double B = 0.19, double C = 0.19);
+Csr uniformRandomGraph(TaskSystem &TS, NodeId NumNodes, int Degree,
+                       std::uint64_t Seed);
+
 /// Deterministic micro graphs for unit tests.
 Csr pathGraph(NodeId NumNodes, bool Weighted = false);
 Csr cycleGraph(NodeId NumNodes);

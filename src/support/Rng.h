@@ -16,6 +16,8 @@
 #ifndef EGACS_SUPPORT_RNG_H
 #define EGACS_SUPPORT_RNG_H
 
+#include <array>
+#include <bit>
 #include <cassert>
 #include <cstdint>
 
@@ -74,7 +76,67 @@ public:
   /// Returns a uniformly distributed float in [0, 1).
   float nextFloat() { return static_cast<float>(next() >> 40) * 0x1.0p-24f; }
 
+  /// Advances the generator by \p Steps calls of next() in O(log Steps)
+  /// time: the state it leaves is exactly the one \p Steps calls would
+  /// leave. Lets parallel workers start independent, reproducible stretches
+  /// of one stream.
+  void advance(std::uint64_t Steps) {
+    // next() updates the state linearly over GF(2), so Steps updates are
+    // the matrix T^Steps. By Cayley-Hamilton T^Steps = r(T), where r is
+    // x^Steps reduced modulo T's characteristic polynomial; the state is
+    // then the sum of the next 256 states weighted by r's coefficients
+    // (the construction behind the reference jump()).
+    Poly R = {1, 0, 0, 0};
+    for (int Bit = std::bit_width(Steps) - 1; Bit >= 0; --Bit) {
+      R = mulMod(R, R);
+      if ((Steps >> Bit) & 1)
+        R = mulX(R);
+    }
+    std::uint64_t Acc[4] = {};
+    for (int I = 0; I < 256; ++I) {
+      if ((R[I / 64] >> (I % 64)) & 1)
+        for (int W = 0; W < 4; ++W)
+          Acc[W] ^= State[W];
+      next();
+    }
+    for (int W = 0; W < 4; ++W)
+      State[W] = Acc[W];
+  }
+
 private:
+  /// A polynomial over GF(2) of degree < 256; bit I of word I/64 is the
+  /// coefficient of x^I.
+  using Poly = std::array<std::uint64_t, 4>;
+
+  /// The characteristic polynomial of the state update, without its x^256
+  /// term (found by Berlekamp-Massey on one state bit's sequence).
+  static constexpr Poly CharPoly = {
+      0x9d116f2bb0f0f001ull, 0x0280002bcefd1a5eull, 0x04b4edcf26259f85ull,
+      0x0003c03c3f3ecb19ull};
+
+  /// Returns \p A times x, modulo CharPoly.
+  static Poly mulX(const Poly &A) {
+    const bool Carry = A[3] >> 63;
+    Poly R = {A[0] << 1, (A[1] << 1) | (A[0] >> 63), (A[2] << 1) | (A[1] >> 63),
+              (A[3] << 1) | (A[2] >> 63)};
+    if (Carry)
+      for (int W = 0; W < 4; ++W)
+        R[W] ^= CharPoly[W];
+    return R;
+  }
+
+  /// Returns \p A times \p B, modulo CharPoly (Horner over A's bits).
+  static Poly mulMod(const Poly &A, const Poly &B) {
+    Poly R = {};
+    for (int I = 255; I >= 0; --I) {
+      R = mulX(R);
+      if ((A[I / 64] >> (I % 64)) & 1)
+        for (int W = 0; W < 4; ++W)
+          R[W] ^= B[W];
+    }
+    return R;
+  }
+
   static std::uint64_t rotl(std::uint64_t X, int K) {
     return (X << K) | (X >> (64 - K));
   }

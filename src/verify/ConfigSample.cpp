@@ -17,7 +17,6 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <string>
 #include <vector>
@@ -149,9 +148,7 @@ std::string verify::configSpec(const SampledRun &R) {
 namespace {
 
 [[noreturn]] void specError(const std::string &Spec, const std::string &Why) {
-  std::fprintf(stderr, "error: bad --config spec '%s': %s\n", Spec.c_str(),
-               Why.c_str());
-  std::exit(2);
+  throw ConfigSpecError("bad --config spec '" + Spec + "': " + Why);
 }
 
 int specInt(const std::string &Spec, const std::string &Value) {

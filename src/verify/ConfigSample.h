@@ -37,6 +37,7 @@
 #include "simd/Backend.h"
 #include "support/Rng.h"
 
+#include <stdexcept>
 #include <string>
 
 namespace egacs::verify {
@@ -60,10 +61,17 @@ SampledRun sampleRun(Xoshiro256 &Rng);
 /// which round-trips binary32 exactly.
 std::string configSpec(const SampledRun &R);
 
+/// A config spec that does not parse; what() names the spec and the fault.
+class ConfigSpecError : public std::invalid_argument {
+public:
+  using std::invalid_argument::invalid_argument;
+};
+
 /// Parses a spec produced by configSpec (or hand-edited). Keys may appear
-/// in any order; omitted keys keep their defaults. Prints a diagnostic and
-/// exits 2 on an unknown key or value (command-line parsing helper,
-/// mirroring parseLayoutKind).
+/// in any order; omitted keys keep their defaults. Throws ConfigSpecError
+/// on an unknown key or a malformed value; an unknown enum value (kernel,
+/// target, layout, ...) prints the valid set and exits 2, as
+/// parseLayoutKind does.
 SampledRun parseConfigSpec(const std::string &Spec);
 
 /// Parses an ISPC-style target name ("avx2-i32x8"); prints the valid set

@@ -8,20 +8,42 @@
 #include "graph/Csr.h"
 #include "graph/Generators.h"
 #include "graph/Loader.h"
+#include "runtime/TaskSystem.h"
+#include "support/Rng.h"
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <cstdio>
 #include <cstring>
+#include <filesystem>
 #include <fstream>
 #include <iterator>
 #include <map>
 #include <set>
+#include <tuple>
 
 using namespace egacs;
 
 namespace {
+
+/// True when \p A and \p B have the same arrays, element by element.
+::testing::AssertionResult sameCsr(const Csr &A, const Csr &B) {
+  if (A.numNodes() != B.numNodes() || A.numEdges() != B.numEdges() ||
+      A.hasWeights() != B.hasWeights())
+    return ::testing::AssertionFailure() << "shapes differ";
+  const std::size_t Nodes = static_cast<std::size_t>(A.numNodes()) + 1;
+  const std::size_t Arcs = static_cast<std::size_t>(A.numEdges());
+  if (!std::equal(A.rowStart(), A.rowStart() + Nodes, B.rowStart()))
+    return ::testing::AssertionFailure() << "rows differ";
+  if (!std::equal(A.edgeDst(), A.edgeDst() + Arcs, B.edgeDst()))
+    return ::testing::AssertionFailure() << "destinations differ";
+  if (A.hasWeights() &&
+      !std::equal(A.edgeWeight(), A.edgeWeight() + Arcs, B.edgeWeight()))
+    return ::testing::AssertionFailure() << "weights differ";
+  return ::testing::AssertionSuccess();
+}
 
 //===----------------------------------------------------------------------===//
 // CSR construction.
@@ -62,6 +84,60 @@ TEST(CsrBuild, DedupeKeepsSmallestWeight) {
   EXPECT_EQ(G.weights(0)[0], 3);
 }
 
+TEST(CsrBuild, DedupeMatchesGlobalSortAndUnique) {
+  // The reference is the builder's former Dedupe path: materialize the
+  // symmetrized arcs, drop loops, sort by (src, dst, weight) and keep the
+  // first arc of each (src, dst). Weights include negatives and zeros.
+  Xoshiro256 Rng(11);
+  const NodeId N = 300;
+  std::vector<RawEdge> Edges;
+  for (int I = 0; I < 40000; ++I)
+    Edges.push_back({static_cast<NodeId>(Rng.nextBounded(N)),
+                     static_cast<NodeId>(Rng.nextBounded(N)),
+                     static_cast<Weight>(Rng.nextBounded(7)) - 3});
+  SpawnTaskSystem Three(3);
+  for (bool Sym : {false, true})
+    for (bool NoLoops : {false, true}) {
+      std::vector<RawEdge> Arcs = Edges;
+      for (const RawEdge &E : Edges)
+        if (Sym && E.Src != E.Dst)
+          Arcs.push_back({E.Dst, E.Src, E.W});
+      std::erase_if(Arcs, [&](const RawEdge &E) {
+        return NoLoops && E.Src == E.Dst;
+      });
+      auto Key = [](const RawEdge &E) {
+        return std::tuple(E.Src, E.Dst, E.W);
+      };
+      std::sort(Arcs.begin(), Arcs.end(),
+                [&](const RawEdge &A, const RawEdge &B) {
+                  return Key(A) < Key(B);
+                });
+      Arcs.erase(std::unique(Arcs.begin(), Arcs.end(),
+                             [](const RawEdge &A, const RawEdge &B) {
+                               return A.Src == B.Src && A.Dst == B.Dst;
+                             }),
+                 Arcs.end());
+      Csr Want = buildCsr(N, Arcs);
+      BuildOptions Opts;
+      Opts.Symmetrize = Sym;
+      Opts.DropSelfLoops = NoLoops;
+      Opts.Dedupe = true;
+      Csr Got = buildCsr(Three, N, Edges, Opts);
+      EXPECT_TRUE(sameCsr(Got, Want))
+          << "sym=" << Sym << " noloops=" << NoLoops;
+      EXPECT_TRUE(Got.rowsSorted());
+    }
+}
+
+TEST(CsrBuild, DedupeOfZeroWeightsIsUnweighted) {
+  BuildOptions Opts;
+  Opts.Dedupe = true;
+  Opts.Symmetrize = true;
+  Csr G = buildCsr(3, {{0, 1, 0}, {1, 2, 0}, {0, 1, 0}}, Opts);
+  EXPECT_EQ(G.numEdges(), 4);
+  EXPECT_FALSE(G.hasWeights());
+}
+
 TEST(CsrBuild, DropSelfLoops) {
   BuildOptions Opts;
   Opts.DropSelfLoops = true;
@@ -89,6 +165,33 @@ TEST(CsrTranspose, ReversesArcsWithWeights) {
   Csr TT = T.transpose();
   for (NodeId N = 0; N < G.numNodes(); ++N)
     EXPECT_EQ(TT.degree(N), G.degree(N));
+}
+
+TEST(CsrTranspose, SameForAnyWorkerCount) {
+  // Duplicate arcs with unequal weights: their order in a transposed row
+  // must follow the source row order whatever the task split.
+  Csr G = withDuplicateEdges(namedGraph("road", 3, 1), 5000, 3);
+  SerialTaskSystem Inline;
+  Csr Serial = G.transpose(Inline);
+  for (int Workers : {1, 2, 3}) {
+    SpawnTaskSystem TS(Workers);
+    EXPECT_TRUE(sameCsr(G.transpose(TS), Serial)) << Workers << " workers";
+  }
+  // A symmetric graph with symmetric weights is its own transpose.
+  Csr R = namedGraph("rmat", 3, 1);
+  EXPECT_TRUE(sameCsr(R.transpose(), R));
+}
+
+TEST(CsrSorted, SortedRowsAreCopied) {
+  Csr G = namedGraph("rmat", 2, 1);
+  ASSERT_TRUE(G.rowsSorted());
+  Csr S = G.sortedByDestination();
+  EXPECT_TRUE(S.rowsSorted());
+  EXPECT_TRUE(sameCsr(S, G));
+  for (NodeId N = 0; N < G.numNodes(); ++N)
+    EXPECT_TRUE(std::is_sorted(G.neighbors(N).begin(), G.neighbors(N).end()));
+  // Insertion-order builds make no such promise.
+  EXPECT_FALSE(namedGraph("road", 0, 1).rowsSorted());
 }
 
 TEST(CsrSorted, AdjacencySortedByDestination) {
@@ -211,6 +314,120 @@ TEST(Generators, ShuffleNodeIdsPreservesStructure) {
   for (NodeId N = 0; N < G.numNodes() && !Moved; ++N)
     Moved = G.degree(N) != S.degree(N);
   EXPECT_TRUE(Moved);
+}
+
+/// FNV-1a over \p Count elements at \p Data.
+template <typename T> std::uint64_t fnv1a(const T *Data, std::size_t Count) {
+  std::uint64_t Hash = 0xcbf29ce484222325ull;
+  const auto *Bytes = reinterpret_cast<const unsigned char *>(Data);
+  for (std::size_t I = 0; I < Count * sizeof(T); ++I)
+    Hash = (Hash ^ Bytes[I]) * 0x100000001b3ull;
+  return Hash;
+}
+
+TEST(Generators, NamedGraphsMatchRecordedDigests) {
+  // Recorded from the serial builder; any change to a generated graph,
+  // however small, fails here. rmat at scale >= 2 and random at scale 3
+  // span several generator chunks; rmat 6/1 is the benchmark input.
+  struct Digest {
+    const char *Name;
+    int Scale;
+    std::uint64_t Seed;
+    NodeId Nodes;
+    EdgeId Arcs;
+    std::uint64_t Rows, Dsts, Weights;
+  };
+  const Digest Digests[] = {
+      {"rmat", 0, 1, 4096, 53416,
+       0x40d61d87c39b3f1full, 0xafb502cc2222add4ull, 0x0d71679d85a4a3e5ull},
+      {"rmat", 0, 2, 4096, 53254,
+       0x97fe63bfc496e46aull, 0x35551a6b765c366dull, 0x367370052e6533c5ull},
+      {"rmat", 1, 1, 8192, 110882,
+       0x0b419f5b05e0234dull, 0xcc1c6db148ebb8c8ull, 0xd65fc041c3029725ull},
+      {"rmat", 1, 2, 8192, 110708,
+       0x69cb5da37032c849ull, 0x945670d382e0a334ull, 0x9490bb6ea5171de5ull},
+      {"rmat", 2, 1, 16384, 228784,
+       0x6bc0dfe9d8017e7full, 0xd02c57e12c840c0aull, 0x6b9cbaea4a9c0565ull},
+      {"rmat", 2, 2, 16384, 228312,
+       0x18b369c7fd097089ull, 0x49c378adba34c99aull, 0x44f673bf2a87bd45ull},
+      {"rmat", 3, 1, 32768, 468728,
+       0x2652126bd888099bull, 0xa0154dff405204dbull, 0xed4c446f847a4665ull},
+      {"rmat", 3, 2, 32768, 468438,
+       0xaee78f6520958296ull, 0x6e82c6081ea867d1ull, 0x0d137fb373aefb05ull},
+      {"random", 0, 1, 4096, 32718,
+       0xdbf0f82d27649d4bull, 0x2f80460f9f9d2ac9ull, 0xcd4ec1902a8e51f5ull},
+      {"random", 0, 2, 4096, 32718,
+       0x6bd1479cff58c375ull, 0xcafcf4192d67b684ull, 0x6a4dceb9e7e3cdc5ull},
+      {"random", 1, 1, 8192, 65490,
+       0x54173a0905a8638bull, 0x285b5a7b00718330ull, 0x52874ad694895ef5ull},
+      {"random", 1, 2, 8192, 65502,
+       0x9c4c2d1e5372455aull, 0x8bc35a21a8769a51ull, 0x35ae432586ce7375ull},
+      {"random", 2, 1, 16384, 131040,
+       0x287ba334b39f3e42ull, 0x3e4d2d24b4eb1371ull, 0xf920c2c4bcfdd835ull},
+      {"random", 2, 2, 16384, 131038,
+       0x96c2c259f43a5f7dull, 0x5ba2bdf0a7909692ull, 0x4a589b9c90bf48e5ull},
+      {"random", 3, 1, 32768, 262084,
+       0x1699dd757f44002aull, 0x73fefd2f3d3bde61ull, 0x7887000756780705ull},
+      {"random", 3, 2, 32768, 262112,
+       0xcd5edcc214e30ef3ull, 0x765c33180151b537ull, 0x9a62d52ce101c5f5ull},
+      {"road", 0, 1, 4096, 16512,
+       0xb16e00a342817854ull, 0x40ff06a6d1990e15ull, 0x1fe0f2561a1e04a5ull},
+      {"road", 0, 2, 4096, 16524,
+       0x6ca3e56f1619ff57ull, 0xf76cea615606ad93ull, 0x90684355563d4f5dull},
+      {"road", 1, 1, 8192, 33142,
+       0xd49b21e996a6a9c2ull, 0x866ca99d1ccb015cull, 0x06c645fabfc8de11ull},
+      {"road", 1, 2, 8192, 33196,
+       0x3518aef5eb751242ull, 0x9695cf7dfa989895ull, 0x90bebfe891a498c9ull},
+      {"road", 2, 1, 16384, 66616,
+       0x0f869b79600733deull, 0x1ba025718aa194f4ull, 0xb3eadcc3e6122f29ull},
+      {"road", 2, 2, 16384, 66590,
+       0x0cb530bd2aa90977ull, 0x40d167b0111812ffull, 0xa4136f05f351a921ull},
+      {"road", 3, 1, 32768, 133530,
+       0x8235faf9f719d9dcull, 0x845cede012a49f0bull, 0x7d8c558ae9018d69ull},
+      {"road", 3, 2, 32768, 133426,
+       0xf1567f47026dd0a5ull, 0x1ec79158af50e73full, 0xfcdc5cd431e91fedull},
+      {"rmat", 6, 1, 262144, 3939966,
+       0xf2ae723e139ff35full, 0xa9d87b777773ef3eull, 0x9b23b073d4851525ull},
+  };
+  for (const Digest &D : Digests) {
+    Csr G = namedGraph(D.Name, D.Scale, D.Seed);
+    SCOPED_TRACE(std::string(D.Name) + " scale " + std::to_string(D.Scale) +
+                 " seed " + std::to_string(D.Seed));
+    ASSERT_EQ(G.numNodes(), D.Nodes);
+    ASSERT_EQ(G.numEdges(), D.Arcs);
+    ASSERT_TRUE(G.hasWeights());
+    EXPECT_EQ(fnv1a(G.rowStart(), static_cast<std::size_t>(D.Nodes) + 1),
+              D.Rows);
+    EXPECT_EQ(fnv1a(G.edgeDst(), static_cast<std::size_t>(D.Arcs)), D.Dsts);
+    EXPECT_EQ(fnv1a(G.edgeWeight(), static_cast<std::size_t>(D.Arcs)),
+              D.Weights);
+  }
+}
+
+TEST(Generators, SameGraphForAnyWorkerCount) {
+  // rmat scale 15 and random at 2^15 nodes make 4 and 2 generator chunks
+  // and several build tasks.
+  SerialTaskSystem Serial;
+  Csr Rmat = rmatGraph(Serial, 15, 8, 5);
+  Csr Random = uniformRandomGraph(Serial, 1 << 15, 4, 5);
+  for (int Workers : {1, 2, 3}) {
+    SpawnTaskSystem TS(Workers);
+    EXPECT_TRUE(sameCsr(rmatGraph(TS, 15, 8, 5), Rmat))
+        << Workers << " workers";
+    EXPECT_TRUE(sameCsr(uniformRandomGraph(TS, 1 << 15, 4, 5), Random))
+        << Workers << " workers";
+  }
+}
+
+TEST(Generators, NamedGraphLeavesNoThreadRunning) {
+  auto Threads = [] {
+    auto Entries = std::filesystem::directory_iterator("/proc/self/task");
+    return std::distance(begin(Entries), end(Entries));
+  };
+  const auto Before = Threads();
+  Csr G = namedGraph("rmat", 3, 1);
+  EXPECT_GT(G.numEdges(), 0);
+  EXPECT_EQ(Threads(), Before);
 }
 
 TEST(Generators, NamedGraphsScale) {

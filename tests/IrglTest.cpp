@@ -18,6 +18,7 @@
 
 #include <cstdio>
 #include <cstdlib>
+#include <filesystem>
 #include <fstream>
 #include <string>
 
@@ -211,7 +212,8 @@ TEST(IrglCodeGen, LayoutKnobSelectsAutoDriverLayout) {
 
 /// Compiles a generated program plus a driver with the host compiler, runs
 /// it, and expects exit code 0. The driver body receives the graph `G` and
-/// must return non-zero on mismatch.
+/// must return non-zero on mismatch. The files go to a fresh directory per
+/// call, removed after a pass and kept (its path in the failure) otherwise.
 void compileAndRun(const std::string &TestName, Program P,
                    const OptimizationBundle &Bundle,
                    const std::string &DriverBody,
@@ -227,10 +229,15 @@ void compileAndRun(const std::string &TestName, Program P,
   runPasses(P, Bundle);
   std::string Generated = emitCpp(P, Opts);
 
-  std::string Dir = ::testing::TempDir();
-  std::string GenPath = Dir + "/egacs_gen_" + TestName + ".h";
-  std::string DriverPath = Dir + "/egacs_gen_" + TestName + "_driver.cpp";
-  std::string BinPath = Dir + "/egacs_gen_" + TestName + "_bin";
+  std::string Template = ::testing::TempDir() + "/egacs_gen_" + TestName +
+                         "_XXXXXX";
+  ASSERT_NE(mkdtemp(Template.data()), nullptr)
+      << "cannot create a directory like " << Template;
+  const std::string Dir = Template;
+  std::string GenPath = Dir + "/gen.h";
+  std::string DriverPath = Dir + "/driver.cpp";
+  std::string BinPath = Dir + "/bin";
+  std::string LogPath = Dir + "/compile.log";
   {
     std::ofstream Gen(GenPath);
     Gen << Generated;
@@ -258,14 +265,14 @@ int main() {
   std::string Compile = std::string("g++ -std=c++20 -O1 ") +
                         EGACS_GEN_FLAGS + " -I " + EGACS_SRC_DIR +
                         " " + DriverPath + " " + EGACS_LIB_PATH +
-                        " -lpthread -o " + BinPath + " 2> " + Dir +
-                        "/egacs_gen_" + TestName + ".log";
+                        " -lpthread -o " + BinPath + " 2> " + LogPath;
   int CompileRc = std::system(Compile.c_str());
-  ASSERT_EQ(CompileRc, 0) << "generated code failed to compile; see " << Dir
-                          << "/egacs_gen_" << TestName << ".log";
+  ASSERT_EQ(CompileRc, 0) << "generated code failed to compile; see "
+                          << LogPath;
   int RunRc = std::system((BinPath + " > /dev/null").c_str());
-  EXPECT_EQ(RunRc, 0) << "generated " << TestName
-                      << " produced wrong output";
+  ASSERT_EQ(RunRc, 0) << "generated " << TestName
+                      << " produced wrong output; its files are in " << Dir;
+  std::filesystem::remove_all(Dir);
 #endif
 }
 

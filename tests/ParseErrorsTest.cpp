@@ -53,6 +53,19 @@ TEST(ParseErrors, AllHelpersShareTheFailureShape) {
                     "scalar-i32x1\\|");
 }
 
+TEST(ParseErrors, BadConfigSpecThrows) {
+  // Library code reports a bad spec to its caller instead of exiting.
+  try {
+    verify::parseConfigSpec("kernel=cc,bogus");
+    ADD_FAILURE() << "no ConfigSpecError";
+  } catch (const verify::ConfigSpecError &Err) {
+    EXPECT_STREQ(Err.what(), "bad --config spec 'kernel=cc,bogus': 'bogus' "
+                             "is not key=value");
+  }
+  EXPECT_THROW(verify::parseConfigSpec("tasks=x"), verify::ConfigSpecError);
+  EXPECT_THROW(verify::parseConfigSpec("nokey=1"), std::invalid_argument);
+}
+
 TEST(ParseErrors, ValidNamesStillParse) {
   EXPECT_EQ(parseTaskSystemKind("spin"), TaskSystemKind::SpinPool);
   EXPECT_EQ(parseLayoutKind("hub"), LayoutKind::HubCsr) << "alias survives";

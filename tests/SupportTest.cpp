@@ -68,6 +68,27 @@ TEST(Rng, DoubleAndFloatInUnitInterval) {
   }
 }
 
+TEST(Rng, AdvanceEqualsStepping) {
+  // 2^16 * 91 + 7: rmat's draws for one generator chunk of a scale-18
+  // graph, and then some.
+  for (std::uint64_t Steps : {0ull, 1ull, 91ull, (1ull << 16) * 91 + 7}) {
+    Xoshiro256 Stepped(42), Jumped(42);
+    for (std::uint64_t I = 0; I < Steps; ++I)
+      Stepped.next();
+    Jumped.advance(Steps);
+    for (int I = 0; I < 4; ++I)
+      ASSERT_EQ(Jumped.next(), Stepped.next()) << "after " << Steps;
+  }
+}
+
+TEST(Rng, AdvanceComposes) {
+  Xoshiro256 Once(7), Twice(7);
+  Once.advance(123456789);
+  Twice.advance(123456000);
+  Twice.advance(789);
+  EXPECT_EQ(Once.next(), Twice.next());
+}
+
 TEST(Rng, HashMixIsStateless) {
   EXPECT_EQ(hashMix64(12345), hashMix64(12345));
   EXPECT_NE(hashMix64(12345), hashMix64(12346));

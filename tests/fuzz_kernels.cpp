@@ -282,5 +282,8 @@ int main(int Argc, char **Argv) {
   } catch (const GraphSizeError &Err) {
     std::fprintf(stderr, "error: %s\n", Err.what());
     return 2;
+  } catch (const ConfigSpecError &Err) {
+    std::fprintf(stderr, "error: %s\n", Err.what());
+    return 2;
   }
 }
