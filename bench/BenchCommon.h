@@ -73,7 +73,7 @@ namespace egacs::bench {
 
 /// A prepared benchmark input.
 struct Input {
-  std::string Name;   ///< "road", "rmat", or "random"
+  std::string Name;   ///< "road", "rmat", "random", or a variant
   Csr G;              ///< the graph (weights always present)
   Csr GSorted;        ///< destination-sorted variant (for tri)
   NodeId Source = 0;  ///< bfs/sssp source (highest-degree node)
@@ -379,11 +379,11 @@ private:
   std::vector<std::vector<std::string>> Rows;
 };
 
-/// Prepares one named input at the harness scale.
-inline Input makeInput(const std::string &Name, int Scale) {
+/// Prepares an input over the graph \p G.
+inline Input makeInput(const std::string &Name, Csr G) {
   Input In;
   In.Name = Name;
-  In.G = namedGraph(Name, Scale);
+  In.G = std::move(G);
   In.GSorted = In.G.sortedByDestination();
   // Seed traversals from the highest-degree node so every run explores a
   // large component (the paper's sources sit in the giant component).
@@ -394,6 +394,11 @@ inline Input makeInput(const std::string &Name, int Scale) {
       In.Source = N;
     }
   return In;
+}
+
+/// Prepares one named input at the harness scale.
+inline Input makeInput(const std::string &Name, int Scale) {
+  return makeInput(Name, namedGraph(Name, Scale));
 }
 
 /// The paper's three inputs.

@@ -6,7 +6,9 @@
 // Reproduces Fig 4: speedup over the serial version for EGACS (all
 // optimizations), the mini-Ligra baseline (direction-optimizing, the five
 // common benchmarks), and the scalar-parallel baseline (GraphIt/Galois
-// stand-in), across the ten kernels and three graphs.
+// stand-in), across the ten kernels and the paper's three graphs, plus road
+// with shuffled ids. Every framework's output is certified by its oracle
+// outside the timed runs; a rejected output exits 1.
 //
 //===----------------------------------------------------------------------===//
 
@@ -17,6 +19,7 @@
 #include "baselines/scalar/ScalarKernels.h"
 
 #include <cmath>
+#include <optional>
 
 using namespace egacs;
 using namespace egacs::bench;
@@ -24,100 +27,105 @@ using namespace egacs::simd;
 
 namespace {
 
-double timeLigra(KernelKind Kind, const ligra::LigraContext &Ctx,
-                 const Input &In, int Reps) {
-  auto Run = [&] {
-    switch (Kind) {
-    case KernelKind::BfsWl:
-      ligra::ligraBfs(Ctx, In.G, In.Source);
-      return true;
-    case KernelKind::SsspNf:
-      ligra::ligraSssp(Ctx, In.G, In.Source);
-      return true;
-    case KernelKind::Cc:
-      ligra::ligraCc(Ctx, In.G);
-      return true;
-    case KernelKind::Pr:
-      ligra::ligraPr(Ctx, In.G, 0.85f, 1e-4f, 50);
-      return true;
-    case KernelKind::Mis:
-      ligra::ligraMis(Ctx, In.G);
-      return true;
-    default:
-      return false;
-    }
-  };
-  if (!Run())
-    return -1.0;
-  double Total = 0.0;
-  for (int R = 0; R < Reps; ++R)
-    Total += timeMs([&] { Run(); });
-  return Total / Reps;
+/// One framework's output of one kernel, or nullopt when the framework does
+/// not implement the kernel.
+using FrameworkOutput = std::optional<KernelOutput>;
+
+FrameworkOutput intOutput(std::vector<std::int32_t> Data) {
+  KernelOutput Out;
+  Out.IntData = std::move(Data);
+  return Out;
 }
 
-double timeScalar(KernelKind Kind, const scalar::ScalarContext &Ctx,
-                  const Input &In, int Reps, std::int32_t Delta) {
-  auto Run = [&] {
+FrameworkOutput floatOutput(std::vector<float> Data) {
+  KernelOutput Out;
+  Out.FloatData = std::move(Data);
+  return Out;
+}
+
+FrameworkOutput scalarOutput(std::int64_t Scalar0, std::int64_t Scalar1 = 0) {
+  KernelOutput Out;
+  Out.Scalar0 = Scalar0;
+  Out.Scalar1 = Scalar1;
+  return Out;
+}
+
+FrameworkOutput runLigra(KernelKind Kind, const ligra::LigraContext &Ctx,
+                         const Input &In, const KernelConfig &Cfg) {
+  switch (Kind) {
+  case KernelKind::BfsWl:
+    return intOutput(ligra::ligraBfs(Ctx, In.G, In.Source));
+  case KernelKind::SsspNf:
+    return intOutput(ligra::ligraSssp(Ctx, In.G, In.Source));
+  case KernelKind::Cc:
+    return intOutput(ligra::ligraCc(Ctx, In.G));
+  case KernelKind::Pr:
+    return floatOutput(
+        ligra::ligraPr(Ctx, In.G, Cfg.PrDamping, Cfg.PrTolerance, 50));
+  case KernelKind::Mis:
+    return intOutput(ligra::ligraMis(Ctx, In.G));
+  default:
+    return std::nullopt;
+  }
+}
+
+FrameworkOutput runScalar(KernelKind Kind, const scalar::ScalarContext &Ctx,
+                          const Input &In, const KernelConfig &Cfg) {
+  switch (Kind) {
+  case KernelKind::BfsWl:
+    return intOutput(scalar::scalarBfs(Ctx, In.G, In.Source));
+  case KernelKind::SsspNf:
+    return intOutput(scalar::scalarSssp(Ctx, In.G, In.Source, Cfg.Delta));
+  case KernelKind::Cc:
+    return intOutput(scalar::scalarCc(Ctx, In.G));
+  case KernelKind::Tri:
+    return scalarOutput(scalar::scalarTri(Ctx, In.GSorted));
+  case KernelKind::Mis:
+    return intOutput(scalar::scalarMis(Ctx, In.G));
+  case KernelKind::Pr:
+    return floatOutput(
+        scalar::scalarPr(Ctx, In.G, Cfg.PrDamping, Cfg.PrTolerance, 50));
+  case KernelKind::Mst: {
     std::int64_t W, E;
-    switch (Kind) {
-    case KernelKind::BfsWl:
-      scalar::scalarBfs(Ctx, In.G, In.Source);
-      return true;
-    case KernelKind::SsspNf:
-      scalar::scalarSssp(Ctx, In.G, In.Source, Delta);
-      return true;
-    case KernelKind::Cc:
-      scalar::scalarCc(Ctx, In.G);
-      return true;
-    case KernelKind::Tri:
-      scalar::scalarTri(Ctx, In.GSorted);
-      return true;
-    case KernelKind::Mis:
-      scalar::scalarMis(Ctx, In.G);
-      return true;
-    case KernelKind::Pr:
-      scalar::scalarPr(Ctx, In.G, 0.85f, 1e-4f, 50);
-      return true;
-    case KernelKind::Mst:
-      scalar::scalarMst(Ctx, In.G, W, E);
-      return true;
-    default:
-      return false;
-    }
-  };
-  if (!Run())
-    return -1.0;
-  double Total = 0.0;
-  for (int R = 0; R < Reps; ++R)
-    Total += timeMs([&] { Run(); });
-  return Total / Reps;
+    scalar::scalarMst(Ctx, In.G, W, E);
+    return scalarOutput(W, E);
+  }
+  default:
+    return std::nullopt;
+  }
 }
 
-double timeGraphIt(KernelKind Kind, const graphit::GraphItContext &Ctx,
-                   const Input &In, int Reps) {
-  auto Run = [&] {
-    switch (Kind) {
-    case KernelKind::BfsWl:
-      graphit::graphitBfs(Ctx, In.G, In.Source);
-      return true;
-    case KernelKind::SsspNf:
-      graphit::graphitSssp(Ctx, In.G, In.Source);
-      return true;
-    case KernelKind::Cc:
-      graphit::graphitCc(Ctx, In.G);
-      return true;
-    case KernelKind::Pr:
-      graphit::graphitPr(Ctx, In.G, 0.85f, 1e-4f, 50);
-      return true;
-    case KernelKind::Tri:
-      graphit::graphitTri(Ctx, In.GSorted);
-      return true;
-    default:
-      return false;
-    }
-  };
-  if (!Run())
+FrameworkOutput runGraphIt(KernelKind Kind, const graphit::GraphItContext &Ctx,
+                           const Input &In, const KernelConfig &Cfg) {
+  switch (Kind) {
+  case KernelKind::BfsWl:
+    return intOutput(graphit::graphitBfs(Ctx, In.G, In.Source));
+  case KernelKind::SsspNf:
+    return intOutput(graphit::graphitSssp(Ctx, In.G, In.Source));
+  case KernelKind::Cc:
+    return intOutput(graphit::graphitCc(Ctx, In.G));
+  case KernelKind::Pr:
+    return floatOutput(
+        graphit::graphitPr(Ctx, In.G, Cfg.PrDamping, Cfg.PrTolerance, 50));
+  case KernelKind::Tri:
+    return scalarOutput(graphit::graphitTri(Ctx, In.GSorted));
+  default:
+    return std::nullopt;
+  }
+}
+
+/// Runs one framework's kernel once untimed, certifies that output with its
+/// oracle when \p Verify is set (a rejection exits 1), then returns the
+/// average of \p Reps timed runs; -1 when the framework lacks the kernel.
+template <typename RunT>
+double timeFramework(const char *Framework, KernelKind Kind, const Input &In,
+                     const KernelConfig &Cfg, int Reps, bool Verify,
+                     RunT &&Run) {
+  FrameworkOutput Out = Run();
+  if (!Out)
     return -1.0;
+  if (Verify && !outputCertified(Kind, In, *Out, Cfg, Framework))
+    std::exit(1);
   double Total = 0.0;
   for (int R = 0; R < Reps; ++R)
     Total += timeMs([&] { Run(); });
@@ -149,7 +157,14 @@ int main(int Argc, char **Argv) {
   double GeoEgacs = 0.0, GeoLigra = 0.0, GeoGraphIt = 0.0, GeoScalar = 0.0;
   int NEgacs = 0, NLigra = 0, NGraphIt = 0, NScalar = 0;
 
-  for (const Input &In : makeAllInputs(Env.Scale)) {
+  // The paper's three inputs plus road with its ids shuffled: the generator
+  // numbers road in grid order, which favours sweeps in id order, so each
+  // framework's two road rows show its sensitivity to id order.
+  std::vector<Input> Inputs = makeAllInputs(Env.Scale);
+  Inputs.push_back(makeInput(
+      "road-shuffled", shuffleNodeIds(Inputs.front().G, /*Seed=*/0x5eed)));
+
+  for (const Input &In : Inputs) {
     for (KernelKind Kind : AllKernels) {
       // Fig 4 uses bfs-wl for the cross-framework BFS comparison; the
       // other bfs variants appear in the EGACS-only figures.
@@ -159,10 +174,15 @@ int main(int Argc, char **Argv) {
       double SerialMs = timeSerial(Kind, In, Env.Reps, Env.Verify);
       double EgacsMs =
           timeKernel(Kind, Target, In, Egacs, Env.Reps, Env.Verify);
-      double LigraMs = timeLigra(Kind, LigraCtx, In, Env.Reps);
-      double GraphItMs = timeGraphIt(Kind, GraphItCtx, In, Env.Reps);
-      double ScalarMs =
-          timeScalar(Kind, ScalarCtx, In, Env.Reps, Egacs.Delta);
+      double LigraMs = timeFramework(
+          "mini-Ligra", Kind, In, Egacs, Env.Reps, Env.Verify,
+          [&] { return runLigra(Kind, LigraCtx, In, Egacs); });
+      double GraphItMs = timeFramework(
+          "mini-GraphIt", Kind, In, Egacs, Env.Reps, Env.Verify,
+          [&] { return runGraphIt(Kind, GraphItCtx, In, Egacs); });
+      double ScalarMs = timeFramework(
+          "scalar-par", Kind, In, Egacs, Env.Reps, Env.Verify,
+          [&] { return runScalar(Kind, ScalarCtx, In, Egacs); });
 
       Speedups.addRow({kernelName(Kind), In.Name, Table::fmt(SerialMs),
                        speedupCell(SerialMs, EgacsMs),

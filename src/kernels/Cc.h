@@ -11,6 +11,27 @@
 /// whose label shrank re-enter the worklist. On symmetric graphs the final
 /// label of every node is the minimum node id of its component.
 ///
+/// The push pipe adds a shortcut phase after each propagation round
+/// (Shiloach-Vishkin pointer jumping over the labels): every node of the
+/// next frontier follows L <- Comp[L] while the label shrinks and min-writes
+/// the end of that walk into its own label. Without it a vector, which reads
+/// all its source labels before it writes any, moves a label one hop per
+/// vector, so on a grid numbered in row-major order the round count grows
+/// with the diameter (~420 rounds on the 512x512 road grid); with it, that
+/// grid converges in 2 rounds. The shortcut only follows labels, so it cannot
+/// hook one label tree onto another: on ids in random order a label still
+/// crosses the graph one tree per round, and the round count only about
+/// halves.
+///
+/// The answer is unchanged. A label is always the id of a node in the same
+/// component and Comp[L] <= L holds throughout (labels start as the node's
+/// own id and only decrease), so a walk stays inside the component and
+/// terminates. Only nodes already in the next frontier are jumped, so every
+/// label that shrinks is pushed again next round and the pipe still stops
+/// only when every arc (u, v) has Comp[v] <= Comp[u]: on a symmetric graph
+/// the labels of a component are then equal, and the component's minimum id
+/// m keeps Comp[m] = m, so every node ends with m.
+///
 //===----------------------------------------------------------------------===//
 
 #ifndef EGACS_KERNELS_CC_H
@@ -45,6 +66,30 @@ void ccSparseRound(engine::Ctx<VT> &E, std::int32_t *Comp,
         if (any(Won))
           pushFrontier<BK>(E.Cfg, Out, nullptr, Dst, Won);
       });
+}
+
+/// The shortcut phase of the push pipe for one task: every node of \p Next's
+/// slice walks L <- Comp[L] while the label shrinks and CAS-mins the end of
+/// the walk into its own label (see the file comment for why this leaves
+/// the fixed point unchanged).
+template <typename BK, typename VT>
+void ccShortcut(engine::Ctx<VT> &E, std::int32_t *Comp, const Worklist &Next) {
+  using namespace simd;
+  engine::vertexMapSparse<BK>(E, Next, [&](VInt<BK> Node, VMask<BK> Act) {
+    // Relaxed gathers: labels are concurrently lowered by other tasks'
+    // shortcut writes within the phase.
+    VInt<BK> Start = gatherRelaxed<BK>(Comp, Node, Act);
+    VInt<BK> Label = Start;
+    VMask<BK> Walk = Act;
+    while (any(Walk)) {
+      VInt<BK> Up = gatherRelaxed<BK>(Comp, Label, Walk);
+      Walk = Walk & (Up < Label);
+      Label = select<BK>(Walk, Up, Label);
+    }
+    VMask<BK> Shrank = Act & (Label < Start);
+    if (any(Shrank))
+      atomicMinVector<BK>(Comp, Node, Label, Shrank);
+  });
 }
 
 /// The prefetch plan shared by both paths: labels are gathered by source
@@ -126,6 +171,7 @@ std::vector<std::int32_t> ccDirection(const VT &G, const VT &GT,
 } // namespace cc_detail
 
 /// cc: label-propagation components; returns per-node component labels.
+/// The push pipe runs two phases per round, propagation then shortcut.
 /// With Cfg.Dir != Push and a transposed view \p GT the direction-
 /// optimizing driver above runs instead of the push-only pipe.
 template <typename BK, typename VT>
@@ -151,12 +197,16 @@ std::vector<std::int32_t> connectedComponents(const VT &G,
   engine::Run<VT> R(Cfg, G, static_cast<std::int64_t>(Cap),
                     cc_detail::ccPlan(Cfg, Comp.data()));
 
+  TaskFn Propagate = [&](int TaskIdx, int TaskCount) {
+    auto E = R.ctx(TaskIdx, TaskCount);
+    cc_detail::ccSparseRound<BK>(E, Comp.data(), WL.in(), WL.out());
+  };
+  TaskFn Shortcut = [&](int TaskIdx, int TaskCount) {
+    auto E = R.ctx(TaskIdx, TaskCount);
+    cc_detail::ccShortcut<BK>(E, Comp.data(), WL.out());
+  };
   runPipe(
-      Cfg, {WL.in().size(), "push"},
-      TaskFn([&](int TaskIdx, int TaskCount) {
-        auto E = R.ctx(TaskIdx, TaskCount);
-        cc_detail::ccSparseRound<BK>(E, Comp.data(), WL.in(), WL.out());
-      }),
+      Cfg, {WL.in().size(), "push"}, std::vector<TaskFn>{Propagate, Shortcut},
       [&]() -> NextRound {
         WL.swap();
         if (WL.in().empty())

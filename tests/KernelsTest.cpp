@@ -279,4 +279,93 @@ TEST(KernelProperties, PrConvergesBeforeRoundCapOnPartialVectors) {
 #endif
 }
 
+//===----------------------------------------------------------------------===//
+// cc's shortcut phase: push cc must reach the min-id labels on inputs whose
+// id order defeats plain label propagation, at every task count.
+//===----------------------------------------------------------------------===//
+
+/// The widest supported target, next to the portable scalar ones.
+std::vector<TargetKind> ccShortcutTargets() {
+  TargetKind Best = TargetKind::Scalar16;
+  if (targetSupported(TargetKind::Avx512x16))
+    Best = TargetKind::Avx512x16;
+  else if (targetSupported(TargetKind::Avx2x8))
+    Best = TargetKind::Avx2x8;
+  return {TargetKind::Scalar1, TargetKind::Scalar8, Best};
+}
+
+/// Runs push cc on \p G at 1, 2 and 4 tasks on every shortcut target and
+/// certifies each output.
+void expectPushCcCertified(const Csr &G, const char *What) {
+  auto Pool = makeTaskSystem(TaskSystemKind::Pool, 4);
+  SerialTaskSystem Serial;
+  for (int Tasks : {1, 2, 4}) {
+    TaskSystem &TS = Tasks == 1 ? static_cast<TaskSystem &>(Serial) : *Pool;
+    KernelConfig Cfg = KernelConfig::allOptimizations(TS, Tasks);
+    for (TargetKind Target : ccShortcutTargets()) {
+      KernelOutput Out = runKernel(KernelKind::Cc, Target, G, Cfg, 0);
+      EXPECT_TRUE(certified(verify::checkComponents(G, Out.IntData)))
+          << What << " tasks=" << Tasks << " " << targetName(Target);
+    }
+  }
+}
+
+TEST(CcShortcut, DescendingPath) {
+  // Ids descend along the path (position P holds id 4095 - P), so label 0
+  // starts at the far end and must cross all 4095 hops.
+  constexpr NodeId N = 4096;
+  std::vector<RawEdge> Edges;
+  for (NodeId P = 0; P + 1 < N; ++P)
+    Edges.push_back({N - 1 - P, N - 2 - P, 1});
+  BuildOptions Opts;
+  Opts.Symmetrize = true;
+  expectPushCcCertified(buildCsr(N, std::move(Edges), Opts), "path");
+}
+
+TEST(CcShortcut, ManySmallComponentsAndIsolatedNodes) {
+  // Every seventh node is isolated; the others fall into 97 components by
+  // id mod 97, each a chain in descending id order, so every component's
+  // members are spread across many vectors.
+  constexpr NodeId N = 5000;
+  std::vector<RawEdge> Edges;
+  std::vector<NodeId> Last(97, -1);
+  for (NodeId V = N - 1; V >= 0; --V) {
+    if (V % 7 == 0)
+      continue;
+    NodeId &Prev = Last[static_cast<std::size_t>(V % 97)];
+    if (Prev >= 0)
+      Edges.push_back({Prev, V, 1});
+    Prev = V;
+  }
+  BuildOptions Opts;
+  Opts.Symmetrize = true;
+  expectPushCcCertified(buildCsr(N, std::move(Edges), Opts), "components");
+}
+
+TEST(CcShortcut, RoadGeneratedAndShuffled) {
+  Csr Road = namedGraph("road", 3);
+  expectPushCcCertified(Road, "road");
+  expectPushCcCertified(shuffleNodeIds(Road, /*Seed=*/17), "shuffled road");
+}
+
+TEST(CcShortcut, RoadConvergesInFewRounds) {
+#ifndef EGACS_TRACE
+  GTEST_SKIP() << "round count needs EGACS_TRACE";
+#else
+  // Without the shortcut a vector moves a label one hop per vector over the
+  // grid's row-major ids, and this input takes about 94 rounds.
+  Csr Road = namedGraph("road", 3);
+  for (TargetKind Target : ccShortcutTargets()) {
+    SerialTaskSystem Serial;
+    KernelConfig Cfg = KernelConfig::allOptimizations(Serial, 1);
+    trace::TraceSession S;
+    Cfg.Trace = &S;
+    KernelOutput Out = runKernel(KernelKind::Cc, Target, Road, Cfg, 0);
+    EXPECT_LE(S.rounds().size(), 4u) << targetName(Target);
+    EXPECT_TRUE(certified(verify::checkComponents(Road, Out.IntData)))
+        << targetName(Target);
+  }
+#endif
+}
+
 } // namespace
