@@ -16,10 +16,9 @@
 ///   --reps=N    timing repetitions (default 3; paper uses 20)
 ///   --tasks=N   ISPC-style task count (default: hardware threads)
 ///   --tasksys=S serial|spawn|pool|spin (default pool)
-///   --sched=S   static|chunked|stealing work distribution (default static)
-///   --chunk=N   chunk size for chunked/stealing (default 1024)
-///   --guided=1  guided self-scheduling decay for chunked
-///   --update=S  atomic|combined|privatized|blocked update engine policy
+///   --chunk=N   work-stealing chunk size: each task's block is split into
+///               chunks of N items that idle tasks may steal (default 1024)
+///   --update=S  atomic|combined|privatized update engine policy
 ///               (default atomic)
 ///   --layout=S  csr|hubcsr|sell graph layout the kernels consume
 ///               (default csr)
@@ -114,9 +113,7 @@ struct BenchEnv {
   int Reps;
   int NumTasks;
   TaskSystemKind TsKind;
-  SchedPolicy Sched;
   std::int64_t ChunkSize;
-  bool Guided;
   UpdatePolicy Update;
   LayoutKind Layout;
   std::int32_t SellSigma;
@@ -140,9 +137,7 @@ struct BenchEnv {
         NumTasks(static_cast<int>(
             Opts.getInt("tasks", cpuInfo().HardwareThreads))),
         TsKind(parseTaskSystemKind(Opts.getString("tasksys", "pool"))),
-        Sched(parseSchedPolicy(Opts.getString("sched", "static"))),
         ChunkSize(Opts.getInt("chunk", 1024)),
-        Guided(Opts.getBool("guided", false)),
         Update(parseUpdatePolicy(Opts.getString("update", "atomic"))),
         Layout(parseLayoutKind(Opts.getString("layout", "csr"))),
         SellSigma(static_cast<std::int32_t>(Opts.getInt("sigma", 1 << 12))),
@@ -222,9 +217,7 @@ struct BenchEnv {
   /// config. runKernel over a bare Csr honours Cfg.Layout by building the
   /// requested view on the fly.
   void applySched(KernelConfig &Cfg) const {
-    Cfg.Sched = Sched;
     Cfg.ChunkSize = ChunkSize;
-    Cfg.GuidedChunks = Guided;
     Cfg.Update = Update;
     Cfg.Layout = Layout;
     Cfg.SellSigma = SellSigma;

@@ -30,7 +30,7 @@
 // --tasks defaults to at least 8: imbalance, contention and latency hiding
 // need several tasks to show, and crit ms models the multi-core runtime
 // either way. Time columns show the change against the kernel's latest
-// baseline row (static sched, atomic update, csr, no prefetch, push,
+// baseline row (default chunk size, atomic update, csr, no prefetch, push,
 // unpinned).
 //
 // --checkstats=1 adds the axis's gates to one gate table (axis, graph,
@@ -47,7 +47,6 @@
 #include <cmath>
 #include <functional>
 #include <map>
-#include <tuple>
 #include <utility>
 
 using namespace egacs;
@@ -79,6 +78,7 @@ struct Measurement {
   std::vector<double> WallMs;        ///< one per timed rep
   std::vector<StatsSnapshot> Deltas; ///< counter deltas, one per timed rep
   StatsSnapshot Counted;             ///< the op-counted run (Axis::Counted)
+  bool Certified = false;            ///< the oracle accepted the first rep
 
   double wallMs() const { return median(WallMs); }
   std::uint64_t stat(Stat S) const {
@@ -324,46 +324,31 @@ bool anyRow(const Row &) { return true; }
 
 // --- sched --------------------------------------------------------------
 //
-// Work-distribution policy (static blocks vs shared-cursor chunks vs work
-// stealing) x chunk size. The paper's Nested Parallelism balances lanes
-// *within* a vector; this axis measures the inter-task analogue: on
-// power-law (rmat) inputs the static block holding the hubs is the
-// straggler of every barrier episode. Expected: on rmat, chunked/stealing
-// cut crit ms and lift balance % for pr and tri; on road/random static is
-// already balanced and the dynamic policies add only bounded overhead.
+// Work-stealing chunk size. The paper's Nested Parallelism balances lanes
+// *within* a vector; this axis measures the inter-task analogue: every
+// task starts on its Listing 1 block split into chunks, and on power-law
+// (rmat) inputs the tasks that finish first steal the tail of the block
+// holding the hubs. Small chunks balance finer at more deque traffic;
+// large chunks approach the static decomposition. Rows start at the
+// default 1024.
 //
 //   balance %                - mean task busy time / crit path (100% = no
 //                              straggler);
 //   chunks/stolen/steal-fail - scheduler instrumentation counters.
 //
-// No gates.
+// Gates: every row's output is certified by its oracle; on rmat some row
+// stole a chunk (the balancing path ran).
 Axis schedAxis() {
-  Axis A{"sched", "static vs chunked vs stealing"};
+  Axis A{"sched", "work-stealing chunk size"};
   A.Kernels = {KernelKind::Pr, KernelKind::Tri, KernelKind::Cc,
                KernelKind::BfsWl};
-  const std::tuple<SchedPolicy, std::int64_t, bool> Policies[] = {
-      {SchedPolicy::Static, 1024, false},  {SchedPolicy::Chunked, 256, false},
-      {SchedPolicy::Chunked, 1024, false}, {SchedPolicy::Chunked, 1024, true},
-      {SchedPolicy::Stealing, 256, false}, {SchedPolicy::Stealing, 1024, false},
-      {SchedPolicy::Stealing, 4096, false}};
   std::vector<Variant> Vs;
-  for (auto [P, Chunk, Guided] : Policies)
-    Vs.push_back({.Apply =
-                      [P, Chunk, Guided](KernelConfig &C) {
-                        C.Sched = P;
-                        C.ChunkSize = Chunk;
-                        C.GuidedChunks = Guided;
-                      },
-                  .Baseline = P == SchedPolicy::Static});
+  for (std::int64_t Chunk : {1024, 256, 4096})
+    Vs.push_back({.Apply = [Chunk](KernelConfig &C) { C.ChunkSize = Chunk; },
+                  .Baseline = Chunk == 1024});
   A.Variants = forEveryKernel(Vs);
-  A.Labels = {{"sched", [](const Row &R) {
-                 std::string N = schedPolicyName(R.Cfg.Sched);
-                 if (R.Cfg.Sched == SchedPolicy::Static)
-                   return N;
-                 N += '/';
-                 N += std::to_string(R.Cfg.ChunkSize);
-                 return R.Cfg.GuidedChunks ? N + 'g' : N;
-               }}};
+  A.Labels = {{"chunk",
+               [](const Row &R) { return std::to_string(R.Cfg.ChunkSize); }}};
   auto Balance = [](const Row &R) {
     auto Crit = static_cast<double>(R.M.stat(Stat::SchedCriticalNanos));
     auto Busy = static_cast<double>(R.M.stat(Stat::SchedTaskNanos));
@@ -373,6 +358,18 @@ Axis schedAxis() {
                count("chunks", "chunks", timed(Stat::ChunksDispatched)),
                count("stolen", "stolen", timed(Stat::ChunksStolen)),
                count("steal-fail", "steal_fail", timed(Stat::StealFailures))};
+  A.Gates = [](GateTable &G) {
+    G.every(
+        "all rows", "oracle-certified", anyRow,
+        [](const Row &R) { return R.M.Certified; },
+        [](const Row &) { return std::string("not verified (--verify=0)"); });
+    if (!G.rmat())
+      return;
+    std::uint64_t Stolen = 0;
+    for (const Row &R : G.rows())
+      Stolen += R.M.stat(Stat::ChunksStolen);
+    G.add("all rows", "stolen > 0", Stolen > 0, "stolen=" + str(Stolen));
+  };
   return A;
 }
 
@@ -389,16 +386,14 @@ Axis schedAxis() {
 //   saved              - lanes folded into a same-destination neighbour by
 //                        in-vector conflict combining (each is one CAS
 //                        chain not issued);
-//   binned             - (dst, contribution) pairs staged by the Blocked
-//                        policy's scatter phase;
 //   sc-crit / mg-crit  - crit-path ms of the engine's scatter and merge
 //                        phases.
 //
-// Privatized/Blocked apply to pr's commutative accumulation; the
-// min-relaxation kernels (cc, sssp-nf, mst) degrade them to Combined, so
-// they get only atomic/combined rows. Expected: on rmat (hubs => duplicate
-// in-vector destinations) combined cuts pr/mst CAS by the duplicate rate,
-// and privatized/blocked trade pr's scatter-phase CAS for a merge pass; on
+// Privatized applies to pr's commutative accumulation; the min-relaxation
+// kernels (cc, sssp-nf, mst) degrade it to Combined, so they get only
+// atomic/combined rows. Expected: on rmat (hubs => duplicate in-vector
+// destinations) combined cuts pr/mst CAS by the duplicate rate, and
+// privatized trades pr's scatter-phase CAS for a merge pass; on
 // road duplicates are rare and atomic is already near-optimal.
 //
 // Gates, rmat pr: the CAS and combining counters are live, and Combined
@@ -408,13 +403,13 @@ Axis schedAxis() {
 // fraction of the few thousand lanes combined away on rmat pr, so they are
 // left out of the comparison rather than absorbed by a slack.
 Axis updateAxis() {
-  Axis A{"update", "atomic vs combined vs privatized vs blocked"};
+  Axis A{"update", "atomic vs combined vs privatized"};
   A.Kernels = {KernelKind::Pr, KernelKind::Cc, KernelKind::SsspNf,
                KernelKind::Mst};
   A.Variants = [](KernelKind K) {
     std::vector<Variant> Vs;
     for (UpdatePolicy P : {UpdatePolicy::Atomic, UpdatePolicy::Combined,
-                           UpdatePolicy::Privatized, UpdatePolicy::Blocked})
+                           UpdatePolicy::Privatized})
       if (K == KernelKind::Pr || P == UpdatePolicy::Atomic ||
           P == UpdatePolicy::Combined)
         Vs.push_back({.Apply = [P](KernelConfig &C) { C.Update = P; },
@@ -426,7 +421,6 @@ Axis updateAxis() {
       count("cas-att", "cas_att", timed(Stat::CasAttempts)),
       count("cas-fail", "cas_fail", timed(Stat::CasFailures)),
       count("saved", "saved", timed(Stat::CombinedLanesSaved)),
-      count("binned", "binned", timed(Stat::UpdatePairsBinned)),
       nanosAsMs("sc-crit ms", "sc_crit_ms", Stat::UpdateScatterCritNanos, true),
       nanosAsMs("mg-crit ms", "mg_crit_ms", Stat::UpdateMergeCritNanos, false)};
   A.Gates = [](GateTable &G) {
@@ -905,8 +899,11 @@ bool measure(Row &R, const Input &In, TargetKind Target, int Reps,
     if (Rep == 0)
       First = std::move(Out);
   }
-  if (Verify && !outputCertified(R.Kind, In, First, R.Cfg, Name))
-    return false;
+  if (Verify) {
+    if (!outputCertified(R.Kind, In, First, R.Cfg, Name))
+      return false;
+    R.M.Certified = true;
+  }
   if (Counted) {
     setOpCounting(true);
     StatsSnapshot Before = StatsSnapshot::capture();

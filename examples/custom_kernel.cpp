@@ -53,8 +53,8 @@ std::vector<std::int32_t> kCore(const Csr &G, const KernelConfig &Cfg,
     if (RemDeg[static_cast<std::size_t>(I)] < K)
       WL.in().pushSerial(I);
   auto Locals = makeTaskLocals(Cfg);
-  // Shared work distributor: honours Cfg.Sched (static blocks by default,
-  // chunked or stealing for skew-tolerant balance).
+  // Shared work distributor: each task starts on its Listing 1 block and
+  // idle tasks steal its untouched chunks.
   auto Sched = makeLoopScheduler(Cfg, N + 64);
 
   runPipe(

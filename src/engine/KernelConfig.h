@@ -80,14 +80,9 @@ struct KernelConfig {
   int MaxIterations = 1 << 20;
 
   // --- Work distribution (inter-task load balance) -----------------------
-  /// How vertex/edge loops are carved across tasks: Static contiguous
-  /// blocks (Listing 1), Chunked shared-cursor, or work Stealing deques.
-  SchedPolicy Sched = SchedPolicy::Static;
-  /// Chunk granularity (vertices/edges/items) for Chunked and Stealing.
+  /// Granularity (vertices/edges/items) at which each task's Listing 1
+  /// block is split into stealable chunks (sched/WorkStealing.h).
   std::int64_t ChunkSize = 1024;
-  /// Guided self-scheduling for Chunked: early chunks are proportional to
-  /// the remaining range, the tail decays to ChunkSize.
-  bool GuidedChunks = false;
   /// Record per-task busy time and per-episode critical path into the
   /// Sched* counters (small per-episode clock_gettime overhead).
   bool SchedInstrument = false;
@@ -95,14 +90,9 @@ struct KernelConfig {
   // --- Update engine (contention of irregular scatters) ------------------
   /// How the scatter-heavy kernels issue their irregular read-modify-write
   /// updates: per-lane hardware Atomics (baseline), in-vector conflict
-  /// Combining, Privatized per-task accumulators, or propagation-Blocked
-  /// binning (sched/UpdateEngine.h). Atomic keeps the exact pre-engine
-  /// code path.
+  /// Combining, or Privatized per-task accumulators (sched/UpdateEngine.h).
+  /// Atomic keeps the exact pre-engine code path.
   UpdatePolicy Update = UpdatePolicy::Atomic;
-  /// Width (in destination slots, rounded up to a power of two) of one
-  /// propagation-blocking bin. 16K float slots = 64 KiB, comfortably
-  /// cache-resident during the merge pass.
-  std::int64_t UpdateBlockNodes = 1 << 14;
 
   // --- Prefetch pipeline (latency hiding for the irregular gathers) ------
   /// What the staged vertex loops prefetch ahead of the execute stage

@@ -105,10 +105,6 @@ inline void runPipe(const KernelConfig &Cfg, RoundFrontier Round0,
   runPipe(Cfg, Round0, std::vector<TaskFn>{Phase}, Advance);
 }
 
-// TaskRange (the Listing 1 static block decomposition) moved to
-// sched/WorkStealing.h, which also provides its dynamic alternatives; it is
-// still visible here through engine/KernelConfig.h.
-
 } // namespace egacs
 
 #endif // EGACS_ENGINE_PIPEDRIVER_H

@@ -9,9 +9,8 @@
 /// The state every operator-engine kernel sets up once per run:
 ///  * TaskLocal / makeTaskLocals - per-task scratch (NP staging, local push
 ///    buffers, batched prefetch statistics);
-///  * makeLoopScheduler          - the LoopScheduler the map operators pull
-///    scheduled ranges from (Static block, Chunked cursor, or work Stealing
-///    per Cfg.Sched);
+///  * makeLoopScheduler          - the work-stealing LoopScheduler the map
+///    operators pull scheduled ranges from;
 ///  * kernelPrefetchPlan         - the run's prefetch plan seed; kernels
 ///    addProp their hot property arrays before entering staged loops;
 ///  * engine::Ctx                - the bundle of the above that one task
@@ -88,9 +87,8 @@ void planProp(PrefetchPlan &PF, const T *P, PrefetchIndexKind K) {
 /// for topology sweeps); it sizes the stealing deques.
 inline std::unique_ptr<LoopScheduler>
 makeLoopScheduler(const KernelConfig &Cfg, std::int64_t MaxItems) {
-  return std::make_unique<LoopScheduler>(Cfg.Sched, Cfg.NumTasks,
-                                         Cfg.ChunkSize, Cfg.GuidedChunks,
-                                         MaxItems, Cfg.SchedInstrument);
+  return std::make_unique<LoopScheduler>(Cfg.NumTasks, Cfg.ChunkSize, MaxItems,
+                                         Cfg.SchedInstrument);
 }
 
 namespace engine {

@@ -142,7 +142,7 @@ void forEachWorklistRangeStaged(const KernelConfig &Cfg, const VT &G,
 
 /// Iterates task \p TaskIdx's share of Items[0, Size), one vector at a
 /// time: Body(VInt Values, VMask Active). The share is whatever ranges
-/// \p Sched hands this task (the whole static block, or dynamic chunks);
+/// \p Sched hands this task (chunks of its own block, then stolen ones);
 /// each range is fiber-interleaved per forEachWorklistRange.
 template <typename BK, typename BodyT>
 void forEachWorklistSlice(const KernelConfig &Cfg, LoopScheduler &Sched,

@@ -28,7 +28,7 @@
 ///    Templates instantiated with it compile to exactly the pre-view code.
 ///  * HubCsrView -- degree-descending hub/tail iteration permutation over
 ///    the unmodified CSR arrays. Degree-homogeneous node vectors pair with
-///    the NP heavy/light bins and chunked/stealing scheduling.
+///    the NP heavy/light bins and work-stealing scheduling.
 ///  * SellView   -- SELL-C-sigma sliced storage (SlimSell, Besta et al.):
 ///    C-row chunks stored column-major so neighbor j of C consecutive rows
 ///    is one unit-stride vector load; sigma bounds the sorting window and
@@ -68,7 +68,7 @@ inline constexpr LayoutKind AllLayoutKinds[NumLayoutKinds] = {
 const char *layoutName(LayoutKind K);
 
 /// Parses a layout name; prints a diagnostic and exits on unknown names
-/// (command-line parsing helper, mirroring parseSchedPolicy).
+/// (command-line parsing helper, like parseUpdatePolicy).
 LayoutKind parseLayoutKind(const std::string &Name);
 
 /// Construction parameters for the non-trivial layouts.
@@ -175,7 +175,7 @@ private:
 /// >= threshold) first, then the tail. Vectors of consecutive slots carry
 /// degree-homogeneous nodes, so the NP inspector's heavy/light split stops
 /// mixing a hub with seven leaves in one vector, and the heavy prefix is
-/// what the chunked/stealing schedulers carve first.
+/// what the work-stealing scheduler carves first.
 class HubCsrView {
 public:
   static constexpr bool PermutedOrder = true;

@@ -10,8 +10,8 @@
 /// its out-neighbours through the update engine (sched/UpdateEngine.h) —
 /// Atomic keeps the per-lane CAS loop, the "extensive use of cmpxchg" the
 /// paper names as PR's bottleneck; Combined pre-reduces same-destination
-/// lanes; Privatized/Blocked stage contributions CAS-free and apply them in
-/// a dedicated merge phase — then a vertex phase applies damping and
+/// lanes; Privatized stages contributions CAS-free and applies them in a
+/// dedicated merge phase — then a vertex phase applies damping and
 /// measures the residual. Iterates to a tolerance with a bound on rounds.
 ///
 //===----------------------------------------------------------------------===//
@@ -48,8 +48,12 @@ std::vector<float> pageRank(const VT &G, const KernelConfig &Cfg,
   std::vector<float> Contrib(static_cast<std::size_t>(N), 0.0f);
   std::vector<float> Accum(static_cast<std::size_t>(N), 0.0f);
 
-  FloatAccumEngine Eng(Cfg.Update, N, Cfg.NumTasks, Cfg.UpdateBlockNodes,
-                       Cfg.SchedInstrument);
+  // Pull rounds write each Accum slot once and read no private copies, so
+  // the engine carries the policy (and its per-task arrays) only for push;
+  // it still times the scatter phase either way.
+  const bool UsePull = Cfg.Dir != Direction::Push && GT != nullptr;
+  FloatAccumEngine Eng(UsePull ? UpdatePolicy::Atomic : Cfg.Update, N,
+                       Cfg.NumTasks, Cfg.SchedInstrument);
   // The push phase gathers Contrib[Src] and add-scatters Accum[Dst]; the
   // node-order phases are unit-stride and need no staging.
   PrefetchPlan PF = kernelPrefetchPlan(Cfg);
@@ -109,9 +113,9 @@ std::vector<float> pageRank(const VT &G, const KernelConfig &Cfg,
     Eng.scatterFinish(T0);
   };
 
-  // Privatized/Blocked only: apply the staged contributions to Accum in a
-  // dedicated barrier phase (each slot/bin is dispatched to exactly one
-  // task, so the applies are plain writes).
+  // Privatized only: apply the staged contributions to Accum in a
+  // dedicated barrier phase (each slot is dispatched to exactly one task,
+  // so the applies are plain writes).
   TaskFn MergeStaged = [&](int TaskIdx, int TaskCount) {
     EGACS_TRACED(trace::ScopedSpan Span(R.Locals[TaskIdx]->Trace,
                                         trace::SpanKind::UpdateMerge);)
@@ -122,7 +126,6 @@ std::vector<float> pageRank(const VT &G, const KernelConfig &Cfg,
   // plain store per destination, zero CAS attempts. Contrib is read-only
   // here (written in phase 1 behind a barrier) and each Accum slot has a
   // single writer, so the round is race-free without any atomics.
-  const bool UsePull = Cfg.Dir != Direction::Push && GT != nullptr;
   TaskFn PullContrib = [&](int TaskIdx, int TaskCount) {
     auto E = R.ctx(TaskIdx, TaskCount);
     EGACS_TRACED(trace::ScopedSpan Span(E.TL.Trace,
@@ -181,7 +184,7 @@ std::vector<float> pageRank(const VT &G, const KernelConfig &Cfg,
 
   std::vector<TaskFn> Phases{ComputeContrib,
                              UsePull ? PullContrib : PushContrib};
-  if (!UsePull && Eng.needsMerge())
+  if (Eng.needsMerge())
     Phases.push_back(MergeStaged);
   Phases.push_back(ApplyAndResidual);
   // PR is dense every round: the "frontier" is the full node set and the

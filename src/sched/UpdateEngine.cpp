@@ -22,8 +22,6 @@ const char *egacs::updatePolicyName(UpdatePolicy P) {
     return "combined";
   case UpdatePolicy::Privatized:
     return "privatized";
-  case UpdatePolicy::Blocked:
-    return "blocked";
   }
   return "<invalid>";
 }
@@ -35,7 +33,5 @@ UpdatePolicy egacs::parseUpdatePolicy(const std::string &Name) {
     return UpdatePolicy::Combined;
   if (Name == "privatized")
     return UpdatePolicy::Privatized;
-  if (Name == "blocked")
-    return UpdatePolicy::Blocked;
-  parseEnumFail("update policy", Name, "atomic|combined|privatized|blocked");
+  parseEnumFail("update policy", Name, "atomic|combined|privatized");
 }

@@ -24,16 +24,10 @@
 ///   UpdatePolicy::Privatized - per-task accumulator arrays + a parallel
 ///                              merge-reduce phase on the LoopScheduler; no
 ///                              global CAS at all, at NumTasks x N memory.
-///   UpdatePolicy::Blocked    - propagation blocking (Milk-style): the
-///                              scatter phase bins (dst, contribution) pairs
-///                              into cache-sized destination ranges; the
-///                              merge phase applies each bin CAS-free and
-///                              cache-resident. Random scatters become
-///                              sequential appends + a local pass.
 ///
-/// Privatized and Blocked apply to *commutative accumulation* (PR's float
-/// adds). Min-relaxation kernels (BFS/SSSP/CC and Bořůvka's 64-bit packed
-/// mins) degrade those two policies to Combined: privatizing a min against
+/// Privatized applies to *commutative accumulation* (PR's float adds).
+/// Min-relaxation kernels (BFS/SSSP/CC and Bořůvka's 64-bit packed mins)
+/// degrade it to Combined: privatizing a min against
 /// identity-initialized private copies manufactures spurious "wins", and
 /// relaxation kernels branch on the won mask to push worklist entries —
 /// deferring the min to a merge phase would defer (and duplicate) the
@@ -64,26 +58,24 @@
 namespace egacs {
 
 /// How scatter-heavy kernels issue their irregular read-modify-write
-/// updates (see the file comment for the four strategies).
+/// updates (see the file comment for the three strategies).
 enum class UpdatePolicy {
   Atomic,     ///< one hardware CAS chain per active lane (baseline)
   Combined,   ///< in-vector conflict combining, one CAS per distinct dst
   Privatized, ///< per-task accumulators + parallel merge (adds only)
-  Blocked,    ///< propagation blocking into cache-sized dst bins (adds only)
 };
 
-/// Human-readable policy name ("atomic", "combined", "privatized",
-/// "blocked").
+/// Human-readable policy name ("atomic", "combined", "privatized").
 const char *updatePolicyName(UpdatePolicy P);
 
-/// Parses "atomic", "combined", "privatized", or "blocked"; reports unknown
-/// names to stderr and exits non-zero (never silently falls back).
+/// Parses "atomic", "combined", or "privatized"; reports unknown names to
+/// stderr and exits non-zero (never silently falls back).
 UpdatePolicy parseUpdatePolicy(const std::string &Name);
 
 /// Policy dispatch for vector atomic-min relaxations (BFS/SSSP/CC and the
 /// IrGL codegen's AtomicMin). Atomic keeps the exact pre-engine per-lane
 /// loop; every other policy uses conflict combining (see the file comment
-/// for why Privatized/Blocked degrade to Combined on min-relaxations). The
+/// for why Privatized degrades to Combined on min-relaxations). The
 /// returned won mask marks, per destination that shrank, the lane holding
 /// the winning value — under Combined that lane's Val equals the value now
 /// in memory, which SSSP's near/far classification relies on.
@@ -169,17 +161,16 @@ private:
 
 /// The update engine for commutative float accumulation (PR's rank
 /// scatter): policy-dispatched per-vector add() in the scatter phase, plus
-/// a parallel merge() phase that Privatized/Blocked runs need
-/// (needsMerge()). The Atomic path forwards straight to atomicAddVectorF —
-/// kernels that branch on policy() before building their edge functor keep
-/// the exact pre-engine inner loop.
+/// a parallel merge() phase that Privatized runs need (needsMerge()). The
+/// Atomic path forwards straight to atomicAddVectorF — kernels that branch
+/// on policy() before building their edge functor keep the exact
+/// pre-engine inner loop.
 class FloatAccumEngine {
 public:
-  /// \p NumSlots is the destination array length; \p BlockNodes the
-  /// requested propagation-blocking bin width (rounded up to a power of
-  /// two). \p Instrument enables the scatter/merge critical-path timers.
+  /// \p NumSlots is the destination array length. \p Instrument enables
+  /// the scatter/merge critical-path timers.
   FloatAccumEngine(UpdatePolicy Policy, std::int64_t NumSlots, int NumTasks,
-                   std::int64_t BlockNodes, bool Instrument)
+                   bool Instrument)
       : Policy(Policy), NumSlots(NumSlots < 0 ? 0 : NumSlots),
         NumTasks(NumTasks < 1 ? 1 : NumTasks), Instrument(Instrument),
         ScatterCrit(Stat::UpdateScatterCritNanos, this->NumTasks, Instrument),
@@ -190,13 +181,6 @@ public:
         P.allocate(static_cast<std::size_t>(this->NumSlots));
         P.zero();
       }
-    } else if (Policy == UpdatePolicy::Blocked) {
-      BlockShift = 0;
-      std::int64_t Width = BlockNodes < 1 ? 1 : BlockNodes;
-      while ((std::int64_t(1) << BlockShift) < Width)
-        ++BlockShift;
-      NumBins = (this->NumSlots >> BlockShift) + 1;
-      Bins.resize(static_cast<std::size_t>(this->NumTasks * NumBins));
     }
   }
 
@@ -208,10 +192,7 @@ public:
 
   /// True when the pipe must run merge() as its own barrier phase between
   /// the scatter phase and any reader of the destination array.
-  bool needsMerge() const {
-    return Policy == UpdatePolicy::Privatized ||
-           Policy == UpdatePolicy::Blocked;
-  }
+  bool needsMerge() const { return Policy == UpdatePolicy::Privatized; }
 
   /// Scatter-phase critical-path hooks: bracket the kernel's scatter phase
   /// with StartNs = scatterStart() ... scatterFinish(StartNs) in every
@@ -220,7 +201,7 @@ public:
   void scatterFinish(std::uint64_t StartNs) { ScatterCrit.finish(StartNs); }
 
   /// Policy-dispatched Global[Idx[l]] += Val[l] over active lanes. Under
-  /// Privatized/Blocked nothing is written to \p Global until merge().
+  /// Privatized nothing is written to \p Global until merge().
   template <typename B>
   void add(float *Global, int TaskIdx, simd::VInt<B> Idx, simd::VFloat<B> Val,
            simd::VMask<B> M) {
@@ -244,34 +225,15 @@ public:
       }
       return;
     }
-    case UpdatePolicy::Blocked: {
-      Bin *TaskBins = Bins.data() +
-                      static_cast<std::size_t>(TaskIdx) *
-                          static_cast<std::size_t>(NumBins);
-      const auto IdxA = spill(Idx);
-      const auto ValA = spill(Val);
-      std::uint64_t Bits = maskBits(M);
-      std::uint32_t Staged = 0;
-      while (Bits) {
-        int L = __builtin_ctzll(Bits);
-        Bits &= Bits - 1;
-        std::int32_t D = IdxA[L];
-        TaskBins[D >> BlockShift].push_back({D, ValA[L]});
-        ++Staged;
-      }
-      EGACS_STAT_ADD(UpdatePairsBinned, Staged);
-      (void)Staged;
-      return;
-    }
     }
   }
 
-  /// Parallel merge-reduce phase (Privatized/Blocked only; run as its own
-  /// pipe phase so the caller's barrier separates it from the scatter).
-  /// Every task calls this exactly once per episode. Each destination slot
-  /// (Privatized) / destination bin (Blocked) is dispatched to exactly one
-  /// task by \p Sched, so the applies are plain, CAS-free writes; private
-  /// state is reset for the next round in the same pass.
+  /// Parallel merge-reduce phase (Privatized only; run as its own pipe
+  /// phase so the caller's barrier separates it from the scatter). Every
+  /// task calls this exactly once per episode. Each destination slot is
+  /// dispatched to exactly one task by \p Sched, so the applies are plain,
+  /// CAS-free writes; private state is reset for the next round in the
+  /// same pass.
   void merge(float *Global, LoopScheduler &Sched, int TaskIdx,
              int TaskCount) {
     std::uint64_t T0 = MergeCrit.start();
@@ -286,30 +248,11 @@ public:
                           }
                         }
                       });
-    } else if (Policy == UpdatePolicy::Blocked) {
-      Sched.forRanges(NumBins, TaskIdx, TaskCount,
-                      [&](std::int64_t B, std::int64_t E) {
-                        for (std::int64_t Bi = B; Bi < E; ++Bi)
-                          for (int T = 0; T < NumTasks; ++T) {
-                            Bin &Bn = Bins[static_cast<std::size_t>(
-                                T * NumBins + Bi)];
-                            for (const Pair &P : Bn)
-                              Global[P.Dst] += P.Contrib;
-                            Bn.clear();
-                          }
-                      });
     }
     MergeCrit.finish(T0);
   }
 
 private:
-  /// One staged (destination, contribution) pair of the Blocked policy.
-  struct Pair {
-    std::int32_t Dst;
-    float Contrib;
-  };
-  using Bin = std::vector<Pair>;
-
   const UpdatePolicy Policy;
   const std::int64_t NumSlots;
   const int NumTasks;
@@ -320,11 +263,6 @@ private:
 
   // Privatized: per-task full-length accumulators.
   std::vector<AlignedBuffer<float>> Priv;
-
-  // Blocked: Bins[Task * NumBins + (dst >> BlockShift)].
-  int BlockShift = 0;
-  std::int64_t NumBins = 0;
-  std::vector<Bin> Bins;
 };
 
 } // namespace egacs

@@ -8,34 +8,33 @@
 /// \file
 /// Dynamic work distribution across ISPC-style tasks. The paper's Nested
 /// Parallelism fixes *intra-vector* imbalance (lanes with diverging degrees,
-/// Section III-B2), but the outer loops still carve the vertex/edge range
-/// into static contiguous blocks (Listing 1): on power-law graphs the one
-/// task whose block holds the hub vertices becomes the straggler of every
-/// barrier episode while its siblings spin idle. GPU frameworks close the
-/// same gap with online task scheduling (SIMD-X, arXiv:1812.04070); PIUMA
+/// Section III-B2), but Listing 1 carves the outer loops into one static
+/// contiguous block per task: on power-law graphs the one task whose block
+/// holds the hub vertices becomes the straggler of every barrier episode
+/// while its siblings spin idle. GPU frameworks close the same gap with
+/// online task scheduling (SIMD-X, arXiv:1812.04070); PIUMA
 /// (arXiv:2010.06277) names skew-induced load imbalance the dominant CPU
-/// scaling limiter. This header provides the inter-task analogue:
+/// scaling limiter.
 ///
-///  * SchedPolicy::Static   - Listing 1's contiguous block per task
-///                            (TaskRange::block), zero coordination;
-///  * SchedPolicy::Chunked  - all tasks grab fixed-size chunks from one
-///                            shared atomic cursor (optionally guided-style:
-///                            chunks decay with the remaining range);
-///  * SchedPolicy::Stealing - per-task Chase-Lev-style deques seeded with
-///                            the task's contiguous block pre-split into
-///                            chunks; the owner pops from the bottom
-///                            (front-to-back, cache friendly) and idle tasks
-///                            steal oldest chunks from victims' tops.
+/// LoopScheduler keeps Listing 1's decomposition as the *starting*
+/// assignment and lets only the tail move: each task's Chase-Lev-style
+/// deque is seeded with its contiguous block (TaskRange::block) split into
+/// ChunkSize chunks; the owner pops them front to back (cache friendly) and
+/// a task whose deque runs dry steals the oldest chunks from its victims.
+/// At one task there is nothing to steal: the whole range is handed to the
+/// body in one call.
 ///
 /// One LoopScheduler instance is shared by every parallel loop of a kernel
 /// run. Contract (matches runPipe's episode structure):
 ///   - at most one scheduled loop per task launch / barrier episode,
 ///   - every task enters the loop exactly once per episode with the same
-///     Size, and TaskCount equals the NumTasks the scheduler was built with.
-/// The last task to leave a loop resets the shared cursor/deques for the
-/// next episode; the caller's barrier (Iteration Outlining) or launch join
-/// orders that reset before any task re-enters, so the scheduler composes
-/// with outlined pipes, fibers, and NP unchanged.
+///     Size, and TaskCount equals the NumTasks the scheduler was built with,
+///   - Size never exceeds the MaxItems the scheduler was built with (the
+///     deques are sized for it; an overflowing push traps).
+/// The last task to leave a loop resets the deques for the next episode;
+/// the caller's barrier (Iteration Outlining) or launch join orders that
+/// reset before any task re-enters, so the scheduler composes with
+/// outlined pipes, fibers, and NP unchanged.
 ///
 /// Everything is instrumented: ChunksDispatched / ChunksStolen /
 /// StealFailures counters, plus (opt-in) per-task busy time from which the
@@ -55,7 +54,6 @@
 #include <cassert>
 #include <cstdint>
 #include <memory>
-#include <string>
 #include <thread>
 
 #if defined(__linux__)
@@ -65,20 +63,6 @@
 #endif
 
 namespace egacs {
-
-/// Work-distribution policy for vertex/edge loops.
-enum class SchedPolicy {
-  Static,   ///< contiguous block per task (the Listing 1 decomposition)
-  Chunked,  ///< shared-cursor chunk grabbing (optionally guided)
-  Stealing, ///< per-task deques + work stealing
-};
-
-/// Human-readable policy name ("static", "chunked", "stealing").
-const char *schedPolicyName(SchedPolicy P);
-
-/// Parses "static", "chunked", or "stealing"; reports unknown names to
-/// stderr and exits non-zero (never silently falls back).
-SchedPolicy parseSchedPolicy(const std::string &Name);
 
 /// Splits [0, Size) into NumTasks contiguous blocks and returns task
 /// TaskIdx's [Begin, End) (the Listing 1 data decomposition).
@@ -213,111 +197,54 @@ private:
 class LoopScheduler {
 public:
   /// \p MaxItems bounds the largest Size any scheduled loop will see (it
-  /// sizes the stealing deques). \p Instrument records per-task busy time
-  /// and per-episode critical path into the Sched* counters.
-  LoopScheduler(SchedPolicy Policy, int NumTasks, std::int64_t ChunkSize,
-                bool Guided, std::int64_t MaxItems, bool Instrument = false)
-      : Policy(Policy), NumTasks(NumTasks < 1 ? 1 : NumTasks),
-        Chunk(ChunkSize < 1 ? 1 : ChunkSize), Guided(Guided),
-        Instrument(Instrument) {
-    if (Policy == SchedPolicy::Stealing) {
-      if (MaxItems < 0)
-        MaxItems = 0;
-      std::int64_t PerTask =
-          (MaxItems + this->NumTasks - 1) / this->NumTasks;
-      std::size_t Cap =
-          static_cast<std::size_t>((PerTask + Chunk - 1) / Chunk) + 1;
-      Deques = std::make_unique<StealDeque[]>(
-          static_cast<std::size_t>(this->NumTasks));
-      for (int T = 0; T < this->NumTasks; ++T)
-        Deques[static_cast<std::size_t>(T)].allocate(Cap);
-    }
+  /// sizes the deques). \p Instrument records per-task busy time and
+  /// per-episode critical path into the Sched* counters.
+  LoopScheduler(int NumTasks, std::int64_t ChunkSize, std::int64_t MaxItems,
+                bool Instrument = false)
+      : NumTasks(NumTasks < 1 ? 1 : NumTasks),
+        Chunk(ChunkSize < 1 ? 1 : ChunkSize), Instrument(Instrument) {
+    if (this->NumTasks == 1)
+      return;
+    if (MaxItems < 0)
+      MaxItems = 0;
+    std::int64_t PerTask = (MaxItems + this->NumTasks - 1) / this->NumTasks;
+    std::size_t Cap =
+        static_cast<std::size_t>((PerTask + Chunk - 1) / Chunk) + 1;
+    Deques = std::make_unique<StealDeque[]>(
+        static_cast<std::size_t>(this->NumTasks));
+    for (int T = 0; T < this->NumTasks; ++T)
+      Deques[static_cast<std::size_t>(T)].allocate(Cap);
   }
 
   LoopScheduler(const LoopScheduler &) = delete;
   LoopScheduler &operator=(const LoopScheduler &) = delete;
 
-  SchedPolicy policy() const { return Policy; }
-  int numTasks() const { return NumTasks; }
-  std::int64_t chunkSize() const { return Chunk; }
-
   /// Runs task \p TaskIdx's share of [0, Size): calls Fn(Begin, End) for
-  /// each range the policy hands this task. Every task of the episode must
-  /// call this exactly once (even when its share is empty).
+  /// each chunk this task pops from its own deque or steals. Every task of
+  /// the episode must call this exactly once (even when its share is
+  /// empty).
   template <typename RangeFnT>
   void forRanges(std::int64_t Size, int TaskIdx, int TaskCount,
                  RangeFnT &&Fn) {
     assert(TaskCount == NumTasks &&
            "scheduler was built for a different task count");
     (void)TaskCount;
-    if (Policy == SchedPolicy::Static && !Instrument) {
-      // Zero-coordination fast path: no shared state is touched at all.
-      TaskRange R = TaskRange::block(Size, TaskIdx, NumTasks);
-      if (R.Begin < R.End) {
-        EGACS_STAT_ADD(ChunksDispatched, 1);
-        Fn(R.Begin, R.End);
-      }
-      return;
-    }
-
     std::uint64_t Start = Instrument ? threadCpuNanos() : 0;
-    switch (Policy) {
-    case SchedPolicy::Static: {
-      TaskRange R = TaskRange::block(Size, TaskIdx, NumTasks);
-      if (R.Begin < R.End) {
+    if (NumTasks == 1) {
+      if (Size > 0) {
         EGACS_STAT_ADD(ChunksDispatched, 1);
-        Fn(R.Begin, R.End);
+        Fn(std::int64_t(0), Size);
       }
-      break;
-    }
-    case SchedPolicy::Chunked: {
-      std::int64_t B, E;
-      while (nextCursorChunk(Size, B, E)) {
-        EGACS_STAT_ADD(ChunksDispatched, 1);
-        Fn(B, E);
-      }
-      break;
-    }
-    case SchedPolicy::Stealing:
+    } else {
       runStealing(Size, TaskIdx, Fn);
-      break;
     }
     taskEpilogue(Instrument ? threadCpuNanos() - Start : 0);
   }
 
 private:
-  /// Chunked policy: grabs the next chunk off the shared cursor. Guided
-  /// mode hands out max(Chunk, remaining / (2 * NumTasks)) so early chunks
-  /// are large (low overhead) and the tail is fine-grained (balance).
-  bool nextCursorChunk(std::int64_t Size, std::int64_t &B, std::int64_t &E) {
-    if (!Guided) {
-      std::int64_t C = Cursor.fetch_add(Chunk, std::memory_order_relaxed);
-      if (C >= Size)
-        return false;
-      B = C;
-      E = C + Chunk < Size ? C + Chunk : Size;
-      return true;
-    }
-    std::int64_t C = Cursor.load(std::memory_order_relaxed);
-    for (;;) {
-      if (C >= Size)
-        return false;
-      std::int64_t Len = (Size - C) / (2 * static_cast<std::int64_t>(NumTasks));
-      if (Len < Chunk)
-        Len = Chunk;
-      if (Cursor.compare_exchange_weak(C, C + Len,
-                                       std::memory_order_relaxed,
-                                       std::memory_order_relaxed)) {
-        B = C;
-        E = C + Len < Size ? C + Len : Size;
-        return true;
-      }
-    }
-  }
-
-  /// Stealing policy body: seed own deque with the static block pre-split
-  /// into chunks, drain it front-to-back, then sweep victims until a full
-  /// sweep finds every deque empty.
+  /// Seeds this task's deque with its block pre-split into chunks, drains
+  /// it front-to-back, then sweeps victims until a full sweep finds every
+  /// deque empty.
   template <typename RangeFnT>
   void runStealing(std::int64_t Size, int TaskIdx, RangeFnT &&Fn) {
     StealDeque &Own = Deques[static_cast<std::size_t>(TaskIdx)];
@@ -345,8 +272,6 @@ private:
       Fn(B, ChunkEnd(B));
     }
 
-    if (NumTasks == 1)
-      return;
     for (;;) {
       bool Progress = false;
       bool Contended = false;
@@ -399,25 +324,22 @@ private:
         EGACS_STAT_ADD(SchedEpisodes, 1);
         EpisodeMaxNs.store(0, std::memory_order_relaxed);
       }
-      Cursor.store(0, std::memory_order_relaxed);
-      if (Policy == SchedPolicy::Stealing)
+      if (Deques)
         for (int T = 0; T < NumTasks; ++T)
           Deques[static_cast<std::size_t>(T)].reset();
       Exited.store(0, std::memory_order_release);
     }
   }
 
-  const SchedPolicy Policy;
   const int NumTasks;
   const std::int64_t Chunk;
-  const bool Guided;
   const bool Instrument;
 
-  alignas(64) std::atomic<std::int64_t> Cursor{0};
   alignas(64) std::atomic<int> Exited{0};
   alignas(64) std::atomic<std::uint64_t> EpisodeMaxNs{0};
   std::unique_ptr<StealDeque[]> Deques;
 };
+
 
 } // namespace egacs
 

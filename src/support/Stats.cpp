@@ -66,7 +66,6 @@ constexpr const char *StatNames[] = {
     "cas-attempts",
     "cas-failures",
     "combined-lanes-saved",
-    "update-pairs-binned",
     "update-scatter-crit-nanos",
     "update-merge-crit-nanos",
     "neighbor-gather-lanes",

@@ -78,9 +78,6 @@ enum class Stat : unsigned {
   /// Lanes folded into a same-destination neighbour by in-vector conflict
   /// combining (each saved lane is one hardware atomic not issued).
   CombinedLanesSaved,
-  /// (dst, contribution) pairs staged into destination-range bins by the
-  /// propagation-blocked update engine.
-  UpdatePairsBinned,
   /// Sum over scatter-phase episodes of the slowest task's CPU time in the
   /// update engine's scatter phase (instrumented runs).
   UpdateScatterCritNanos,

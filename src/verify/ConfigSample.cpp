@@ -10,7 +10,6 @@
 #include "graph/GraphView.h"
 #include "sched/Prefetch.h"
 #include "sched/UpdateEngine.h"
-#include "sched/WorkStealing.h"
 #include "simd/Targets.h"
 #include "support/ParseEnum.h"
 
@@ -55,19 +54,12 @@ SampledRun verify::sampleRun(Xoshiro256 &Rng) {
   R.Cfg.CoopConversion = coin(Rng);
   R.Cfg.Fibers = coin(Rng);
 
-  static constexpr SchedPolicy Scheds[] = {
-      SchedPolicy::Static, SchedPolicy::Chunked, SchedPolicy::Stealing};
-  R.Cfg.Sched = pick(Rng, Scheds);
   static constexpr std::int64_t Chunks[] = {1, 16, 256, 1024};
   R.Cfg.ChunkSize = pick(Rng, Chunks);
-  R.Cfg.GuidedChunks = coin(Rng);
 
   static constexpr UpdatePolicy Updates[] = {
-      UpdatePolicy::Atomic, UpdatePolicy::Combined, UpdatePolicy::Privatized,
-      UpdatePolicy::Blocked};
+      UpdatePolicy::Atomic, UpdatePolicy::Combined, UpdatePolicy::Privatized};
   R.Cfg.Update = pick(Rng, Updates);
-  static constexpr std::int64_t Blocks[] = {1 << 8, 1 << 14};
-  R.Cfg.UpdateBlockNodes = pick(Rng, Blocks);
 
   static constexpr PrefetchPolicy Prefetches[] = {
       PrefetchPolicy::None, PrefetchPolicy::Rows, PrefetchPolicy::RowsProps};
@@ -126,20 +118,18 @@ std::string verify::configSpec(const SampledRun &R) {
   std::snprintf(
       Buf, sizeof(Buf),
       "kernel=%s,target=%s,tasks=%d,ts=%s,io=%d,np=%d,cc=%d,fib=%d,"
-      "sched=%s,chunk=%lld,guided=%d,update=%s,ublock=%lld,prefetch=%s,"
-      "pfdist=%d,layout=%s,sigma=%d,dir=%s,alpha=%d,beta=%d,hybrid=%d,"
-      "delta=%d,fibcap=%d,npbuf=%d,damping=%.9g,tol=%.9g",
+      "chunk=%lld,update=%s,prefetch=%s,pfdist=%d,layout=%s,sigma=%d,"
+      "dir=%s,alpha=%d,beta=%d,hybrid=%d,delta=%d,fibcap=%d,npbuf=%d,"
+      "damping=%.9g,tol=%.9g",
       kernelName(R.Kernel), simd::targetName(R.Target), R.Cfg.NumTasks,
       R.SerialTs ? "serial" : "pool", R.Cfg.IterationOutlining ? 1 : 0,
       R.Cfg.NestedParallelism ? 1 : 0, R.Cfg.CoopConversion ? 1 : 0,
-      R.Cfg.Fibers ? 1 : 0, schedPolicyName(R.Cfg.Sched),
-      static_cast<long long>(R.Cfg.ChunkSize), R.Cfg.GuidedChunks ? 1 : 0,
-      updatePolicyName(R.Cfg.Update),
-      static_cast<long long>(R.Cfg.UpdateBlockNodes),
-      prefetchPolicyName(R.Cfg.Prefetch), R.Cfg.PrefetchDist,
-      layoutName(R.Cfg.Layout), R.Cfg.SellSigma, directionName(R.Cfg.Dir),
-      R.Cfg.AlphaNum, R.Cfg.BetaDenom, R.Cfg.HybridDenominator, R.Cfg.Delta,
-      R.Cfg.MaxFibersPerTask, R.Cfg.NpBufferCapacity,
+      R.Cfg.Fibers ? 1 : 0, static_cast<long long>(R.Cfg.ChunkSize),
+      updatePolicyName(R.Cfg.Update), prefetchPolicyName(R.Cfg.Prefetch),
+      R.Cfg.PrefetchDist, layoutName(R.Cfg.Layout), R.Cfg.SellSigma,
+      directionName(R.Cfg.Dir), R.Cfg.AlphaNum, R.Cfg.BetaDenom,
+      R.Cfg.HybridDenominator, R.Cfg.Delta, R.Cfg.MaxFibersPerTask,
+      R.Cfg.NpBufferCapacity,
       static_cast<double>(R.Cfg.PrDamping),
       static_cast<double>(R.Cfg.PrTolerance));
   return Buf;
@@ -214,16 +204,10 @@ SampledRun verify::parseConfigSpec(const std::string &Spec) {
       R.Cfg.CoopConversion = specBool(Spec, Value);
     else if (Key == "fib")
       R.Cfg.Fibers = specBool(Spec, Value);
-    else if (Key == "sched")
-      R.Cfg.Sched = parseSchedPolicy(Value);
     else if (Key == "chunk")
       R.Cfg.ChunkSize = specInt(Spec, Value);
-    else if (Key == "guided")
-      R.Cfg.GuidedChunks = specBool(Spec, Value);
     else if (Key == "update")
       R.Cfg.Update = parseUpdatePolicy(Value);
-    else if (Key == "ublock")
-      R.Cfg.UpdateBlockNodes = specInt(Spec, Value);
     else if (Key == "prefetch")
       R.Cfg.Prefetch = parsePrefetchPolicy(Value);
     else if (Key == "pfdist")

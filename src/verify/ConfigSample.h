@@ -8,8 +8,8 @@
 /// \file
 /// Deterministic sampling of one kernel-execution point across the full
 /// configuration cross-product the harness exposes: kernel x SIMD target x
-/// task count x SchedPolicy x UpdatePolicy x LayoutKind x PrefetchPolicy x
-/// Direction, plus the paper's IO/NP/CC/Fibers bundle flags and the numeric
+/// task count x UpdatePolicy x LayoutKind x PrefetchPolicy x Direction,
+/// plus the paper's IO/NP/CC/Fibers bundle flags and the numeric
 /// ablation knobs (chunk size, prefetch distance, SELL sigma, delta, fiber
 /// cap, NP buffer, hybrid thresholds, pr damping/tolerance).
 ///
@@ -57,7 +57,7 @@ struct SampledRun {
 SampledRun sampleRun(Xoshiro256 &Rng);
 
 /// Serializes \p R to the replayable one-line spec ("kernel=bfs-wl,
-/// target=avx2-i32x8,tasks=4,ts=pool,sched=chunked,..."). Floats use %.9g,
+/// target=avx2-i32x8,tasks=4,ts=pool,chunk=256,..."). Floats use %.9g,
 /// which round-trips binary32 exactly.
 std::string configSpec(const SampledRun &R);
 

@@ -14,15 +14,15 @@
 //                        system;
 //  * OptCombination    - the Fig 5 optimization bundles x every kernel on
 //                        rmat, 4 tasks;
-//  * LayoutParity      - kernel x layout x sched policy on road/rmat/random,
+//  * LayoutParity      - kernel x layout x chunk size on road/rmat/random,
 //                        4 tasks;
 //  * PrefetchParity    - the LayoutParity points under rows and rows+props
 //                        (LayoutParity runs none);
 //  * DirectionParity   - the direction-capable kernels of the LayoutParity
 //                        points under pull and hybrid (LayoutParity runs
 //                        push);
-//  * UpdateParity      - the scatter-heavy kernels x update policy x sched
-//                        on rmat.
+//  * UpdateParity      - the scatter-heavy kernels x update policy x chunk
+//                        size on rmat.
 // The oracles accept exactly one answer for bfs, sssp, cc, tri and mst, so
 // a certified run also equals every other configuration's run.
 //
@@ -43,6 +43,7 @@
 #include <gtest/gtest.h>
 
 #include <cctype>
+#include <cstdint>
 #include <initializer_list>
 #include <iterator>
 #include <string>
@@ -118,8 +119,18 @@ std::string joinName(std::initializer_list<std::string> Parts) {
   return Name;
 }
 
-const SchedPolicy Scheds[] = {SchedPolicy::Static, SchedPolicy::Chunked,
-                              SchedPolicy::Stealing};
+/// The work-stealing chunk sizes of the 4-task suites. Each point keeps the
+/// name of the retired distribution policy it stands in for, so the case
+/// names carry over: "static" makes each task's Listing 1 block one chunk
+/// (stolen whole or not at all), "chunked" splits it into the 64-item
+/// chunks the grid has always used, "stealing" into 8-item chunks so that
+/// nearly every sweep steals.
+const std::int32_t Chunks[] = {1 << 30, 64, 8};
+
+std::string chunkName(std::int32_t Chunk) {
+  return Chunk == Chunks[0] ? "static" : Chunk == Chunks[1] ? "chunked"
+                                                            : "stealing";
+}
 
 //===----------------------------------------------------------------------===//
 // The grid points and the runs each one makes.
@@ -178,31 +189,31 @@ std::string name(const BundlePoint &P) {
 struct LayoutPoint {
   KernelKind Kernel;
   LayoutKind Layout;
-  SchedPolicy Sched;
+  std::int32_t Chunk;
   std::string Graph;
 };
 
 /// The point's run, with \p Extra ("prefetch=rows") appended to its spec.
 GridCase layoutCase(const LayoutPoint &P, const std::string &Extra = "") {
-  return {P.Graph, "tasks=4,delta=512,chunk=64,sigma=128," + bestTarget() +
+  return {P.Graph, "tasks=4,delta=512,sigma=128," + bestTarget() +
                        ",kernel=" + kernelName(P.Kernel) +
                        ",layout=" + layoutName(P.Layout) +
-                       ",sched=" + schedPolicyName(P.Sched) +
+                       ",chunk=" + std::to_string(P.Chunk) +
                        (Extra.empty() ? "" : "," + Extra)};
 }
 
 std::string name(const LayoutPoint &P) {
   return joinName({kernelName(P.Kernel), layoutName(P.Layout),
-                   schedPolicyName(P.Sched), P.Graph});
+                   chunkName(P.Chunk), P.Graph});
 }
 
 std::vector<LayoutPoint> layoutPoints(const std::vector<KernelKind> &Kernels) {
   std::vector<LayoutPoint> Points;
   for (KernelKind Kernel : Kernels)
     for (LayoutKind Layout : AllLayoutKinds)
-      for (SchedPolicy Sched : Scheds)
+      for (std::int32_t Chunk : Chunks)
         for (const char *Graph : {"road", "rmat", "random"})
-          Points.push_back({Kernel, Layout, Sched, Graph});
+          Points.push_back({Kernel, Layout, Chunk, Graph});
   return Points;
 }
 
@@ -213,19 +224,19 @@ std::vector<LayoutPoint> layoutPoints() {
 struct UpdatePoint {
   KernelKind Kernel;
   UpdatePolicy Update;
-  SchedPolicy Sched;
+  std::int32_t Chunk;
 };
 
 GridCase updateCase(const UpdatePoint &P) {
-  return {"rmat", "tasks=4,delta=512,chunk=64,ublock=128," + bestTarget() +
+  return {"rmat", "tasks=4,delta=512," + bestTarget() +
                       ",kernel=" + kernelName(P.Kernel) +
                       ",update=" + updatePolicyName(P.Update) +
-                      ",sched=" + schedPolicyName(P.Sched)};
+                      ",chunk=" + std::to_string(P.Chunk)};
 }
 
 std::string name(const UpdatePoint &P) {
   return joinName({kernelName(P.Kernel), updatePolicyName(P.Update),
-                   schedPolicyName(P.Sched)});
+                   chunkName(P.Chunk)});
 }
 
 std::vector<UpdatePoint> updatePoints() {
@@ -234,9 +245,9 @@ std::vector<UpdatePoint> updatePoints() {
                             KernelKind::Mst, KernelKind::BfsWl})
     for (UpdatePolicy Update :
          {UpdatePolicy::Atomic, UpdatePolicy::Combined,
-          UpdatePolicy::Privatized, UpdatePolicy::Blocked})
-      for (SchedPolicy Sched : Scheds)
-        Points.push_back({Kernel, Update, Sched});
+          UpdatePolicy::Privatized})
+      for (std::int32_t Chunk : Chunks)
+        Points.push_back({Kernel, Update, Chunk});
   return Points;
 }
 

@@ -5,7 +5,7 @@
 //
 // Every per-lane scalar loop (the class-2 atomics of simd/Atomics.h, the
 // naive worklist push, the bitmap frontier's vector set, and the update
-// engine's privatized and blocked staging) is checked on every compiled
+// engine's privatized staging) is checked on every compiled
 // backend against a scalar reference that walks the active lanes in
 // ascending order. Inputs are random lane subsets over a few destinations,
 // so duplicate indices within one vector are the common case. A last test
@@ -272,14 +272,13 @@ TYPED_TEST(LaneLoops, UpdateEngineStagedAddMatchesAtomic) {
   auto Run = [&](UpdatePolicy P) {
     Xoshiro256 Rng(109);
     std::vector<float> Global(static_cast<std::size_t>(Slots), 0.0f);
-    FloatAccumEngine Eng(P, Slots, NumTasks, /*BlockNodes=*/8,
-                         /*Instrument=*/false);
+    FloatAccumEngine Eng(P, Slots, NumTasks, /*Instrument=*/false);
     for (int R = 0; R < Rounds; ++R) {
       LaneCase<BK> C(Rng, R, static_cast<int>(Slots), 16);
       Eng.add<BK>(Global.data(), R % NumTasks, C.idx(), C.valF(), C.mask());
     }
     if (Eng.needsMerge()) {
-      LoopScheduler Sched(SchedPolicy::Static, NumTasks, 8, false, Slots);
+      LoopScheduler Sched(NumTasks, /*ChunkSize=*/8, Slots);
       for (int T = 0; T < NumTasks; ++T)
         Eng.merge(Global.data(), Sched, T, NumTasks);
     }
@@ -287,7 +286,6 @@ TYPED_TEST(LaneLoops, UpdateEngineStagedAddMatchesAtomic) {
   };
   const std::vector<float> Atomic = Run(UpdatePolicy::Atomic);
   EXPECT_EQ(Run(UpdatePolicy::Privatized), Atomic);
-  EXPECT_EQ(Run(UpdatePolicy::Blocked), Atomic);
 }
 
 TYPED_TEST(LaneLoops, ConcurrentMinAndRelaxedAccessesAreRaceFree) {
@@ -341,9 +339,7 @@ TYPED_TEST(LaneLoops, WrappersAddTheirOpCountsOnly) {
   Worklist WL(static_cast<std::size_t>(BK::Width));
   BitmapFrontier F(static_cast<NodeId>(Mem.size()));
   FloatAccumEngine Priv(UpdatePolicy::Privatized,
-                        static_cast<std::int64_t>(Mem.size()), 1, 8, false);
-  FloatAccumEngine Blocked(UpdatePolicy::Blocked,
-                           static_cast<std::int64_t>(Mem.size()), 1, 8, false);
+                        static_cast<std::int64_t>(Mem.size()), 1, false);
 
   setOpCounting(true);
   // Want = {SpmdOps, GatherOps, ScatterOps} one call adds.
@@ -372,8 +368,6 @@ TYPED_TEST(LaneLoops, WrappersAddTheirOpCountsOnly) {
   Check("setVector", {0, 0, 0}, [&] { F.setVector<BK>(Idx, M); });
   Check("privatized add", {0, 0, 0},
         [&] { Priv.add<BK>(MemF.data(), 0, Idx, ValF, M); });
-  Check("blocked add", {0, 0, 0},
-        [&] { Blocked.add<BK>(MemF.data(), 0, Idx, ValF, M); });
   setOpCounting(false);
 }
 

@@ -6,8 +6,8 @@
 // Every parse* CLI helper must reject an unknown name the same way: exit
 // code 2 and one stderr line of the shape
 //   error: unknown <what> '<got>'; valid values are <a|b|c>
-// (support/ParseEnum.h). The harnesses compose --kernel/--layout/--sched/
-// --update/--prefetch/--direction/--ts/--target freely, so a typo in any of
+// (support/ParseEnum.h). The harnesses compose --kernel/--layout/--update/
+// --prefetch/--direction/--ts/--target freely, so a typo in any of
 // them must fail identically rather than half of them asserting and half
 // falling back silently.
 //
@@ -19,7 +19,6 @@
 #include "runtime/TaskSystem.h"
 #include "sched/Prefetch.h"
 #include "sched/UpdateEngine.h"
-#include "sched/WorkStealing.h"
 #include "verify/ConfigSample.h"
 
 #include <gtest/gtest.h>
@@ -38,10 +37,8 @@ TEST(ParseErrors, AllHelpersShareTheFailureShape) {
   EXPECT_PARSE_FAIL(parseTaskSystemKind("bogus"), "task system",
                     "serial\\|spawn\\|pool\\|spin");
   EXPECT_PARSE_FAIL(parseLayoutKind("bogus"), "layout", "csr\\|hubcsr\\|sell");
-  EXPECT_PARSE_FAIL(parseSchedPolicy("bogus"), "sched policy",
-                    "static\\|chunked\\|stealing");
   EXPECT_PARSE_FAIL(parseUpdatePolicy("bogus"), "update policy",
-                    "atomic\\|combined\\|privatized\\|blocked");
+                    "atomic\\|combined\\|privatized\n");
   EXPECT_PARSE_FAIL(parsePrefetchPolicy("bogus"), "prefetch policy",
                     "none\\|rows\\|rows\\+props");
   EXPECT_PARSE_FAIL(parseDirection("bogus"), "direction",
@@ -66,11 +63,23 @@ TEST(ParseErrors, BadConfigSpecThrows) {
   EXPECT_THROW(verify::parseConfigSpec("nokey=1"), std::invalid_argument);
 }
 
+TEST(ParseErrors, RetiredSchedulingKeysFailLoudly) {
+  // Work stealing is the only distributor and propagation blocking is
+  // gone: a replay spec that still names their keys must not run silently
+  // under some other configuration.
+  for (const char *Spec : {"kernel=pr,sched=static", "kernel=pr,guided=1",
+                           "kernel=pr,ublock=64"})
+    EXPECT_THROW(verify::parseConfigSpec(Spec), verify::ConfigSpecError)
+        << Spec;
+  EXPECT_EXIT(parseUpdatePolicy("blocked"), ::testing::ExitedWithCode(2),
+              "error: unknown update policy 'blocked'; valid values are "
+              "atomic\\|combined\\|privatized\n");
+}
+
 TEST(ParseErrors, ValidNamesStillParse) {
   EXPECT_EQ(parseTaskSystemKind("spin"), TaskSystemKind::SpinPool);
   EXPECT_EQ(parseLayoutKind("hub"), LayoutKind::HubCsr) << "alias survives";
-  EXPECT_EQ(parseSchedPolicy("stealing"), SchedPolicy::Stealing);
-  EXPECT_EQ(parseUpdatePolicy("blocked"), UpdatePolicy::Blocked);
+  EXPECT_EQ(parseUpdatePolicy("privatized"), UpdatePolicy::Privatized);
   EXPECT_EQ(parsePrefetchPolicy("rows+props"), PrefetchPolicy::RowsProps);
   EXPECT_EQ(parseDirection("hybrid"), Direction::Hybrid);
   EXPECT_EQ(parseKernelKind("bfs-hb"), KernelKind::BfsHb);

@@ -8,14 +8,16 @@
 /// \file
 /// Tests for sched/WorkStealing.h: TaskRange::block edge cases, the
 /// StealDeque owner/thief protocol, and — the property everything rests on —
-/// every index in [0, Size) dispatched exactly once under every policy, with
-/// real concurrent stealing and across multiple barrier episodes. The whole
-/// file is exercised by the ThreadSanitizer CI job.
+/// every index in [0, Size) dispatched exactly once at every chunk size,
+/// with real concurrent stealing and across multiple barrier episodes. The
+/// whole file is exercised by the ThreadSanitizer CI job.
 ///
 //===----------------------------------------------------------------------===//
 
 #include "OracleAssert.h"
+#include "engine/VertexMap.h"
 #include "graph/Generators.h"
+#include "graph/GraphView.h"
 #include "kernels/Bfs.h"
 #include "kernels/Cc.h"
 #include "kernels/Pr.h"
@@ -149,16 +151,31 @@ TEST(StealDequeTest, ConcurrentThievesTakeEachChunkOnce) {
 }
 
 //===----------------------------------------------------------------------===//
-// LoopScheduler: dispatch exactly once, all policies
+// LoopScheduler: dispatch exactly once, every chunk size
 //===----------------------------------------------------------------------===//
 
-struct SchedCase {
-  SchedPolicy Policy;
-  bool Guided;
+/// One chunk size of the dispatch test. The points keep the names of the
+/// distribution policies that work stealing replaced, so the test ids carry
+/// over; each stands for the dispatch pattern closest to its namesake.
+struct ChunkCase {
+  std::int64_t Chunk;
 };
 
+const char *chunkCaseName(std::int64_t Chunk) {
+  switch (Chunk) {
+  case std::int64_t(1) << 30:
+    return "static"; // each task's block is one chunk
+  case 64:
+    return "chunked"; // fine chunks
+  case 1:
+    return "chunkedGuided"; // one item per chunk, the finest tail
+  default:
+    return "stealing"; // the KernelConfig default, 1024
+  }
+}
+
 class LoopSchedulerTest
-    : public ::testing::TestWithParam<std::tuple<SchedCase, int>> {};
+    : public ::testing::TestWithParam<std::tuple<ChunkCase, int>> {};
 
 /// Every index of every episode dispatched exactly once, under concurrent
 /// tasks, odd sizes, and multiple barrier episodes reusing one scheduler.
@@ -167,8 +184,7 @@ TEST_P(LoopSchedulerTest, DispatchesEveryIndexExactlyOnce) {
   constexpr std::int64_t MaxItems = 10007; // prime: nothing divides evenly
   const std::int64_t Sizes[] = {MaxItems, 0, 1, 64, 4097, MaxItems / 3};
 
-  LoopScheduler Sched(Case.Policy, NumTasks, /*ChunkSize=*/64, Case.Guided,
-                      MaxItems, /*Instrument=*/true);
+  LoopScheduler Sched(NumTasks, Case.Chunk, MaxItems, /*Instrument=*/true);
   ThreadPoolTaskSystem Pool(NumTasks);
   Barrier Bar(NumTasks);
 
@@ -204,30 +220,92 @@ TEST_P(LoopSchedulerTest, DispatchesEveryIndexExactlyOnce) {
 
 INSTANTIATE_TEST_SUITE_P(
     AllPolicies, LoopSchedulerTest,
-    ::testing::Combine(
-        ::testing::Values(SchedCase{SchedPolicy::Static, false},
-                          SchedCase{SchedPolicy::Chunked, false},
-                          SchedCase{SchedPolicy::Chunked, true},
-                          SchedCase{SchedPolicy::Stealing, false}),
-        ::testing::Values(1, 2, 4, 8)),
+    ::testing::Combine(::testing::Values(ChunkCase{std::int64_t(1) << 30},
+                                         ChunkCase{64}, ChunkCase{1},
+                                         ChunkCase{1024}),
+                       ::testing::Values(1, 2, 4, 8)),
     [](const auto &Info) {
-      const SchedCase &Case = std::get<0>(Info.param);
-      std::string Name = schedPolicyName(Case.Policy);
-      if (Case.Guided)
-        Name += "Guided";
-      return Name + "x" + std::to_string(std::get<1>(Info.param));
+      return chunkCaseName(std::get<0>(Info.param).Chunk) + std::string("x") +
+             std::to_string(std::get<1>(Info.param));
     });
 
-/// Serial execution must not deadlock: every policy must complete when the
-/// tasks of one episode run sequentially (SerialTaskSystem), which forbids
-/// any wait-for-other-tasks loop inside forRanges.
+#ifdef EGACS_STATS
+/// At one task there is nothing to steal: the whole range is one call and
+/// one dispatched chunk, whatever the chunk size (the serial baselines and
+/// the tasks=1 op-count goldens rest on this).
+TEST(LoopSchedulerSingleTask, WholeRangeInOneCall) {
+  constexpr std::int64_t Size = 5000;
+  LoopScheduler Sched(/*NumTasks=*/1, /*ChunkSize=*/16, Size);
+  std::vector<std::pair<std::int64_t, std::int64_t>> Calls;
+  std::uint64_t Before = statGet(Stat::ChunksDispatched);
+  Sched.forRanges(Size, 0, 1, [&](std::int64_t B, std::int64_t E) {
+    Calls.emplace_back(B, E);
+  });
+  ASSERT_EQ(Calls.size(), 1u);
+  EXPECT_EQ(Calls[0].first, 0);
+  EXPECT_EQ(Calls[0].second, Size);
+  EXPECT_EQ(statGet(Stat::ChunksDispatched) - Before, 1u);
+
+  Sched.forRanges(0, 0, 1, [&](std::int64_t, std::int64_t) {
+    ADD_FAILURE() << "an empty range dispatches nothing";
+  });
+  EXPECT_EQ(statGet(Stat::ChunksDispatched) - Before, 1u);
+}
+#endif // EGACS_STATS
+
+/// A scheduler sized from a SELL view's padded slot count covers a sweep
+/// over every slot, padding included, and the view's node sweep visits
+/// every node once (numNodes is not a multiple of the chunk height C).
+TEST(LoopSchedulerSell, SizedFromSlotCountRunsFullSweep) {
+  using BK = simd::ScalarBackend<8>;
+  constexpr int NumTasks = 4;
+  Csr G = uniformRandomGraph(1001, /*Degree=*/4, /*Seed=*/3);
+  LayoutOptions Opts;
+  Opts.SellChunk = BK::Width;
+  Opts.SellSigma = 64;
+  SellView V(G, Opts);
+  const std::int64_t Slots = V.paddedSlots();
+  ASSERT_GT(Slots, static_cast<std::int64_t>(V.numNodes()));
+
+  LoopScheduler Sched(NumTasks, /*ChunkSize=*/3, Slots);
+  ThreadPoolTaskSystem Pool(NumTasks);
+  Barrier Bar(NumTasks);
+  std::vector<std::atomic<int>> SlotHits(static_cast<std::size_t>(Slots));
+  std::vector<std::atomic<int>> NodeHits(
+      static_cast<std::size_t>(V.numNodes()));
+  Pool.launch(NumTasks, [&](int TaskIdx, int TaskCount) {
+    Sched.forRanges(Slots, TaskIdx, TaskCount,
+                    [&](std::int64_t B, std::int64_t E) {
+                      for (std::int64_t S = B; S < E; ++S)
+                        SlotHits[static_cast<std::size_t>(S)].fetch_add(1);
+                    });
+    Bar.wait(); // orders the episode reset before the next loop
+    forEachNodeSlice<BK>(
+        V, Sched, TaskIdx, TaskCount,
+        [&](simd::VInt<BK> Node, simd::VMask<BK> Act, std::int64_t) {
+          const auto Ids = simd::spill(Node);
+          std::uint64_t Bits = simd::maskBits(Act);
+          while (Bits) {
+            int L = __builtin_ctzll(Bits);
+            Bits &= Bits - 1;
+            NodeHits[static_cast<std::size_t>(Ids[L])].fetch_add(1);
+          }
+        });
+  });
+  for (std::int64_t S = 0; S < Slots; ++S)
+    ASSERT_EQ(SlotHits[static_cast<std::size_t>(S)].load(), 1) << "slot " << S;
+  for (NodeId N = 0; N < V.numNodes(); ++N)
+    ASSERT_EQ(NodeHits[static_cast<std::size_t>(N)].load(), 1) << "node " << N;
+}
+
+/// Serial execution must not deadlock: every chunk size must complete when
+/// the tasks of one episode run sequentially (SerialTaskSystem), which
+/// forbids any wait-for-other-tasks loop inside forRanges.
 TEST(LoopSchedulerSerial, NoDeadlockUnderSerialTasks) {
-  for (SchedPolicy P :
-       {SchedPolicy::Static, SchedPolicy::Chunked, SchedPolicy::Stealing}) {
+  for (std::int64_t Chunk : {16, 1000}) {
     constexpr int NumTasks = 4;
     constexpr std::int64_t Size = 1000;
-    LoopScheduler Sched(P, NumTasks, /*ChunkSize=*/16, /*Guided=*/false,
-                        Size);
+    LoopScheduler Sched(NumTasks, Chunk, Size);
     SerialTaskSystem TS;
     std::vector<int> Hits(Size, 0);
     TS.launch(NumTasks, [&](int TaskIdx, int TaskCount) {
@@ -239,7 +317,7 @@ TEST(LoopSchedulerSerial, NoDeadlockUnderSerialTasks) {
     });
     for (std::int64_t I = 0; I < Size; ++I)
       ASSERT_EQ(Hits[static_cast<std::size_t>(I)], 1)
-          << schedPolicyName(P) << " index " << I;
+          << "chunk " << Chunk << " index " << I;
   }
 }
 
@@ -250,8 +328,7 @@ TEST(LoopSchedulerStealing, StallingOwnerGetsRobbed) {
   constexpr int NumTasks = 2;
   constexpr std::int64_t Size = 1024;
   constexpr std::int64_t Chunk = 64;
-  LoopScheduler Sched(SchedPolicy::Stealing, NumTasks, Chunk,
-                      /*Guided=*/false, Size);
+  LoopScheduler Sched(NumTasks, Chunk, Size);
   ThreadPoolTaskSystem Pool(NumTasks);
 
   std::uint64_t StolenBefore = statGet(Stat::ChunksStolen);
@@ -280,40 +357,28 @@ TEST(LoopSchedulerStealing, StallingOwnerGetsRobbed) {
 #endif // EGACS_STATS
 
 //===----------------------------------------------------------------------===//
-// Kernel-level: results stay correct under the dynamic policies
+// Kernel-level: results stay correct at fine chunk sizes
 //===----------------------------------------------------------------------===//
 
 TEST(SchedKernels, BfsPrCcMatchReferenceUnderDynamicPolicies) {
   using BK = simd::NativeBackend;
-  // 16384 nodes: every node sweep is 512 chunks of 32, so every task takes
-  // many chunks off the cursor and has deque work to lose to thieves.
+  // 16384 nodes: every node sweep is 512 chunks of 32 (16384 of 1), so
+  // every task has deque work to lose to thieves.
   Csr G = namedGraph("rmat", /*Scale=*/2);
   ThreadPoolTaskSystem Pool(4);
-  for (SchedPolicy P : {SchedPolicy::Chunked, SchedPolicy::Stealing}) {
+  for (std::int64_t Chunk : {32, 1}) {
     KernelConfig Cfg = KernelConfig::allOptimizations(Pool, 4);
-    Cfg.Sched = P;
-    Cfg.ChunkSize = 32;
+    Cfg.ChunkSize = Chunk;
     EXPECT_TRUE(certified(
         verify::checkBfsDistances(G, /*Source=*/0, bfsWl<BK>(G, Cfg, 0))))
-        << schedPolicyName(P);
+        << "chunk " << Chunk;
     EXPECT_TRUE(certified(
         verify::checkComponents(G, connectedComponents<BK>(G, Cfg))))
-        << schedPolicyName(P);
+        << "chunk " << Chunk;
     EXPECT_TRUE(certified(verify::checkPageRank(
         G, pageRank<BK>(G, Cfg), Cfg.PrDamping, Cfg.PrTolerance)))
-        << schedPolicyName(P);
+        << "chunk " << Chunk;
   }
-}
-
-TEST(SchedKernels, ParseSchedPolicyRoundTrips) {
-  EXPECT_EQ(parseSchedPolicy("static"), SchedPolicy::Static);
-  EXPECT_EQ(parseSchedPolicy("chunked"), SchedPolicy::Chunked);
-  EXPECT_EQ(parseSchedPolicy("stealing"), SchedPolicy::Stealing);
-  EXPECT_STREQ(schedPolicyName(SchedPolicy::Static), "static");
-  EXPECT_STREQ(schedPolicyName(SchedPolicy::Chunked), "chunked");
-  EXPECT_STREQ(schedPolicyName(SchedPolicy::Stealing), "stealing");
-  EXPECT_EXIT(parseSchedPolicy("bogus"), ::testing::ExitedWithCode(2),
-              "unknown sched policy");
 }
 
 TEST(SchedKernels, ParseTaskSystemKindRejectsUnknownNames) {

@@ -9,10 +9,10 @@
 //    (scalar lane loop and vpconflictd must agree bit-for-bit);
 //  * the float-combining reassociation bound;
 //  * FloatAccumEngine policy equivalence (Atomic == Combined == Privatized
-//    == Blocked up to float reassociation);
+//    up to float reassociation);
 //  * Bořůvka's combined 64-bit min;
 //  * parseUpdatePolicy's exit(2) contract.
-// The cmpxchg-heavy kernels under every UpdatePolicy x SchedPolicy are
+// The cmpxchg-heavy kernels under every UpdatePolicy x chunk size are
 // certified by the UpdateParity suite of ConfigGridTest.cpp.
 //
 //===----------------------------------------------------------------------===//
@@ -49,8 +49,7 @@ namespace {
 TEST(UpdatePolicyParse, RoundTrips) {
   const UpdatePolicy Policies[] = {UpdatePolicy::Atomic,
                                    UpdatePolicy::Combined,
-                                   UpdatePolicy::Privatized,
-                                   UpdatePolicy::Blocked};
+                                   UpdatePolicy::Privatized};
   for (UpdatePolicy P : Policies)
     EXPECT_EQ(parseUpdatePolicy(updatePolicyName(P)), P);
 }
@@ -416,7 +415,7 @@ TEST(FloatCombining, ReassociationBoundDocumented) {
 }
 
 //===----------------------------------------------------------------------===//
-// FloatAccumEngine: all four policies agree (up to reassociation).
+// FloatAccumEngine: all three policies agree (up to reassociation).
 //===----------------------------------------------------------------------===//
 
 TEST(FloatAccumEngine, AllPoliciesAgreeAfterMerge) {
@@ -438,7 +437,7 @@ TEST(FloatAccumEngine, AllPoliciesAgreeAfterMerge) {
   for (int I = 0; I < 600; ++I) {
     Op O;
     O.Task = static_cast<int>(Rng.nextBounded(NumTasks));
-    // Skew destinations toward a hub so conflicts and bins both trigger.
+    // Skew destinations toward a hub so conflicts trigger.
     for (int L = 0; L < W; ++L) {
       O.Idx[L] = Rng.nextBounded(4) == 0
                      ? 7
@@ -456,20 +455,17 @@ TEST(FloatAccumEngine, AllPoliciesAgreeAfterMerge) {
 
   const UpdatePolicy Policies[] = {UpdatePolicy::Atomic,
                                    UpdatePolicy::Combined,
-                                   UpdatePolicy::Privatized,
-                                   UpdatePolicy::Blocked};
+                                   UpdatePolicy::Privatized};
   for (UpdatePolicy P : Policies) {
     std::vector<float> Global(static_cast<std::size_t>(N), 0.0f);
-    FloatAccumEngine Eng(P, N, NumTasks, /*BlockNodes=*/128,
-                         /*Instrument=*/false);
+    FloatAccumEngine Eng(P, N, NumTasks, /*Instrument=*/false);
     EXPECT_EQ(Eng.policy(), P);
-    EXPECT_EQ(Eng.needsMerge(), P == UpdatePolicy::Privatized ||
-                                    P == UpdatePolicy::Blocked);
+    EXPECT_EQ(Eng.needsMerge(), P == UpdatePolicy::Privatized);
     for (const Op &O : Script)
       Eng.add<BK>(Global.data(), O.Task, load<BK>(O.Idx), loadF<BK>(O.Val),
                   maskFromBits<BK>(O.Mask));
     if (Eng.needsMerge()) {
-      LoopScheduler Sched(SchedPolicy::Static, NumTasks, 64, false, N);
+      LoopScheduler Sched(NumTasks, /*ChunkSize=*/64, N);
       for (int T = 0; T < NumTasks; ++T)
         Eng.merge(Global.data(), Sched, T, NumTasks);
     }
@@ -487,23 +483,20 @@ TEST(FloatAccumEngine, MergeResetsStagedStateBetweenRounds) {
   using BK = ScalarBackend<4>;
   const std::int64_t N = 64;
   const int NumTasks = 2;
-  for (UpdatePolicy P :
-       {UpdatePolicy::Privatized, UpdatePolicy::Blocked}) {
-    std::vector<float> Global(static_cast<std::size_t>(N), 0.0f);
-    FloatAccumEngine Eng(P, N, NumTasks, /*BlockNodes=*/16, false);
-    LoopScheduler Sched(SchedPolicy::Static, NumTasks, 16, false, N);
-    for (int Round = 0; Round < 2; ++Round) {
-      const std::int32_t Idx[4] = {5, 5, 20, 63};
-      const float Val[4] = {1.0f, 2.0f, 3.0f, 4.0f};
-      Eng.add<BK>(Global.data(), /*TaskIdx=*/Round % NumTasks,
-                  load<BK>(Idx), loadF<BK>(Val), maskAll<BK>());
-      for (int T = 0; T < NumTasks; ++T)
-        Eng.merge(Global.data(), Sched, T, NumTasks);
-    }
-    EXPECT_FLOAT_EQ(Global[5], 2.0f * 3.0f);
-    EXPECT_FLOAT_EQ(Global[20], 2.0f * 3.0f);
-    EXPECT_FLOAT_EQ(Global[63], 2.0f * 4.0f);
+  std::vector<float> Global(static_cast<std::size_t>(N), 0.0f);
+  FloatAccumEngine Eng(UpdatePolicy::Privatized, N, NumTasks, false);
+  LoopScheduler Sched(NumTasks, /*ChunkSize=*/16, N);
+  for (int Round = 0; Round < 2; ++Round) {
+    const std::int32_t Idx[4] = {5, 5, 20, 63};
+    const float Val[4] = {1.0f, 2.0f, 3.0f, 4.0f};
+    Eng.add<BK>(Global.data(), /*TaskIdx=*/Round % NumTasks, load<BK>(Idx),
+                loadF<BK>(Val), maskAll<BK>());
+    for (int T = 0; T < NumTasks; ++T)
+      Eng.merge(Global.data(), Sched, T, NumTasks);
   }
+  EXPECT_FLOAT_EQ(Global[5], 2.0f * 3.0f);
+  EXPECT_FLOAT_EQ(Global[20], 2.0f * 3.0f);
+  EXPECT_FLOAT_EQ(Global[63], 2.0f * 4.0f);
 }
 
 //===----------------------------------------------------------------------===//
@@ -546,8 +539,7 @@ TEST(UpdateMin64Combined, MatchesPerLaneLoop) {
 TEST(UpdateEngineStats, ScatterAndMergeCritPathsRecorded) {
   ThreadPoolTaskSystem Pool(4);
   KernelConfig Cfg = KernelConfig::allOptimizations(Pool, 4);
-  Cfg.Update = UpdatePolicy::Blocked;
-  Cfg.UpdateBlockNodes = 128;
+  Cfg.Update = UpdatePolicy::Privatized;
   Cfg.SchedInstrument = true;
   Csr G = rmatGraph(/*Scale=*/9, /*EdgeFactor=*/6, /*Seed=*/9);
   statsReset();
@@ -555,12 +547,11 @@ TEST(UpdateEngineStats, ScatterAndMergeCritPathsRecorded) {
       runKernel(KernelKind::Pr, TargetKind::Scalar8, G, Cfg, 0);
   EXPECT_TRUE(
       certified(verify::checkKernelOutput(KernelKind::Pr, G, 0, Out, Cfg)));
-  EXPECT_GT(statGet(Stat::UpdatePairsBinned), 0u);
   EXPECT_GT(statGet(Stat::UpdateScatterCritNanos), 0u);
   EXPECT_GT(statGet(Stat::UpdateMergeCritNanos), 0u);
-  // Blocked PR's contribution scatter issues no CAS chains at all, and the
-  // residual reduction is a per-task plain store reduced serially in the
-  // advance, so a Blocked pr run is CAS-free end to end.
+  // Privatized PR's contribution scatter issues no CAS chains at all, and
+  // the residual reduction is a per-task plain store reduced serially in
+  // the advance, so a privatized pr run is CAS-free end to end.
   EXPECT_EQ(statGet(Stat::CasAttempts), 0u);
 }
 

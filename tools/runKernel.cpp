@@ -15,7 +15,7 @@
 //   $ runKernel --trace=out.json --direction=hybrid
 //   $ runKernel --trace-summary --kernel=sssp-nf --scale=6
 //
-// Accepts every BenchCommon knob (--scale, --tasks, --sched, --layout,
+// Accepts every BenchCommon knob (--scale, --tasks, --chunk, --layout,
 // --direction, --trace, --trace-summary, ...) plus:
 //
 //   --input=S   road|rmat|random generated input (default rmat)
