@@ -20,7 +20,7 @@
 ///               chunks of N items that idle tasks may steal (default 1024)
 ///   --update=S  atomic|combined|privatized update engine policy
 ///               (default atomic)
-///   --layout=S  csr|hubcsr|sell graph layout the kernels consume
+///   --layout=S  csr|sell graph layout the kernels consume
 ///               (default csr)
 ///   --sigma=N   SELL-C-sigma sorting window in nodes (default 4096)
 ///   --prefetch=S none|rows|rows+props staged-loop prefetch policy
@@ -39,7 +39,8 @@
 ///   --trace-summary  print the per-round summary table at exit
 ///
 /// or the equivalent EGACS_* environment variables. An input too large for
-/// the 32-bit index space (GraphSizeError) prints its message and exits 2.
+/// the 32-bit index space (GraphSizeError) prints its message and exits 2,
+/// and so does a --key the harness never reads (see banner()).
 ///
 //===----------------------------------------------------------------------===//
 
@@ -503,8 +504,16 @@ inline simd::TargetKind bestTarget() {
   return simd::TargetKind::Scalar8;
 }
 
-/// Prints the standard harness banner.
+/// Prints the standard harness banner. Every harness reads all its own
+/// options before calling this, so any command-line key still unread here
+/// is a typo or a retired flag: it is reported and the harness exits 2
+/// rather than running under a configuration nobody asked for.
 inline void banner(const char *What, const BenchEnv &Env) {
+  std::vector<std::string> Unread = Env.Opts.unreadKeys();
+  for (const std::string &Key : Unread)
+    std::fprintf(stderr, "error: unknown option '--%s'\n", Key.c_str());
+  if (!Unread.empty())
+    std::exit(2);
   std::printf("== EGACS reproduction: %s ==\n", What);
   std::printf("machine: %d hw threads, avx2=%d avx512=%d | scale=%d "
               "reps=%d tasks=%d tasksys=%d\n\n",

@@ -475,8 +475,8 @@ void printSigmaSweep(const Input &In) {
 //
 // Graph storage layout (graph/GraphView.h). The paper hard-wires CSR and
 // pays one hardware gather per neighbor vector (its Table VI); this axis
-// measures how much of that gather traffic the alternative layouts convert
-// into unit-stride vector loads, and what they pay for it:
+// measures how much of that gather traffic the SELL-C-sigma layout converts
+// into unit-stride vector loads, and what it pays for it:
 //
 //   gather-ln / contig-ln - neighbor lanes fetched by a hardware gather vs
 //                           by a contiguous vector load over SELL slices
@@ -499,7 +499,7 @@ void printSigmaSweep(const Input &In) {
 // Gates, rmat bfs-tp and pr: csr issues neighbor gathers and sell issues
 // contiguous loads, and sell converts >= 50% of the csr gather lanes.
 Axis layoutAxis() {
-  Axis A{"layout", "csr vs hubcsr vs sell-c-sigma"};
+  Axis A{"layout", "csr vs sell-c-sigma"};
   A.Kernels = {KernelKind::BfsTp, KernelKind::Cc, KernelKind::SsspNf,
                KernelKind::Pr};
   std::vector<Variant> Vs;
@@ -559,10 +559,10 @@ Axis layoutAxis() {
 // --- prefetch -----------------------------------------------------------
 //
 // Staged-loop prefetch pipeline (sched/Prefetch.h) over the gather-bound
-// kernels x the three layouts, sweeping the row-stage lookahead 0..32
+// kernels x both layouts, sweeping the row-stage lookahead 0..32
 // vectors for both staged policies. The irregular neighbor gathers are
 // exactly the latency the pipeline hides; SELL slices get the contiguous
-// prefetch shape, CSR/HubCSR the per-lane span shape. pr and bfs-tp sweep
+// prefetch shape, CSR the per-lane span shape. pr and bfs-tp sweep
 // every edge each round (the paper's memory-bound kernels); cc adds a
 // worklist-order sweep. Tri is excluded as in the layout axis. Expected:
 // on rmat, rows+props at 4-16 vectors shortens crit ms (SELL needs less
@@ -637,7 +637,7 @@ Axis prefetchAxis() {
 // --- direction ----------------------------------------------------------
 //
 // Direction-optimizing traversal (worklist/BitmapFrontier.h plus the
-// pull-direction kernels) over the direction-capable kernels x the three
+// pull-direction kernels) over the direction-capable kernels x both
 // layouts, then, for bfs-hb, a sweep of the Beamer switch thresholds
 // (alpha, beta) around the GAP defaults (15, 18): alpha 1 barely ever
 // switches to pull, alpha 64 switches almost immediately; beta 2 bails back

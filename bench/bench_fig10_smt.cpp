@@ -22,10 +22,10 @@ using namespace egacs::simd;
 
 int main(int Argc, char **Argv) {
   BenchEnv Env(Argc, Argv);
-  banner("Fig 10 - SMT: two tasks per core vs one", Env);
-  TargetKind Target = bestTarget();
   int MaxCores = static_cast<int>(
       Env.Opts.getInt("max-cores", std::max(Env.NumTasks, 4)));
+  banner("Fig 10 - SMT: two tasks per core vs one", Env);
+  TargetKind Target = bestTarget();
 
   std::vector<Input> Inputs = makeAllInputs(Env.Scale);
   const KernelKind Kernels[] = {KernelKind::BfsWl, KernelKind::SsspNf,

@@ -21,8 +21,6 @@ using namespace egacs::simd;
 
 int main(int Argc, char **Argv) {
   BenchEnv Env(Argc, Argv);
-  banner("Fig 7 - SIMD width and AVX version", Env);
-  auto TS = Env.makeTs();
   // tri/mst dominate runtime at every width without changing the trend;
   // pass --all-kernels=1 for the full Table VIII set.
   std::vector<KernelKind> Kernels;
@@ -31,6 +29,8 @@ int main(int Argc, char **Argv) {
   else
     Kernels = {KernelKind::BfsWl, KernelKind::BfsTp, KernelKind::Cc,
                KernelKind::SsspNf, KernelKind::Mis,  KernelKind::Pr};
+  banner("Fig 7 - SIMD width and AVX version", Env);
+  auto TS = Env.makeTs();
 
   const TargetKind Targets[] = {
       TargetKind::Scalar4,  TargetKind::Scalar8,  TargetKind::Scalar16,

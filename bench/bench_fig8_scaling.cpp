@@ -20,10 +20,10 @@ using namespace egacs::simd;
 
 int main(int Argc, char **Argv) {
   BenchEnv Env(Argc, Argv);
-  banner("Fig 8 - scalability with task count", Env);
-  TargetKind Target = bestTarget();
   int MaxTasks = static_cast<int>(
       Env.Opts.getInt("max-tasks", std::max(2 * Env.NumTasks, 8)));
+  banner("Fig 8 - scalability with task count", Env);
+  TargetKind Target = bestTarget();
 
   std::vector<Input> Inputs = makeAllInputs(Env.Scale);
   std::vector<double> SerialMs;

@@ -17,8 +17,8 @@ using namespace egacs::bench;
 
 int main(int Argc, char **Argv) {
   BenchEnv Env(Argc, Argv);
-  banner("Table II - empty task launch overhead", Env);
   int Launches = static_cast<int>(Env.Opts.getInt("launches", 10000));
+  banner("Table II - empty task launch overhead", Env);
 
   Table T({"task system", "launches", "tasks", "us/launch"});
   const TaskSystemKind Kinds[] = {TaskSystemKind::Spawn, TaskSystemKind::Pool,

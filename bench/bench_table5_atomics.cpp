@@ -46,13 +46,13 @@ AtomicCounts countPushAtomics(KernelKind Kind, TargetKind Target,
 
 int main(int Argc, char **Argv) {
   BenchEnv Env(Argc, Argv);
+  bool CheckStats = Env.Opts.getBool("checkstats", false);
   banner("Table V - atomic worklist pushes under Cooperative Conversion",
          Env);
   Input In = makeInput("road", Env.Scale);
   TargetKind Target = bestTarget();
   auto TS = Env.makeTs();
 
-  bool CheckStats = Env.Opts.getBool("checkstats", false);
   std::uint64_t TotalPushes = 0, TotalCasAttempts = 0;
 
   Table T({"kernel", "unopt atomics", "task-CC", "reduction", "fiber-CC",

@@ -109,8 +109,8 @@ double avx512GatherChain(const std::int32_t *Chase, std::int32_t N,
 
 int main(int Argc, char **Argv) {
   BenchEnv Env(Argc, Argv);
-  banner("Table VI - gather vs scalar load-to-use latency", Env);
   int Iters = static_cast<int>(Env.Opts.getInt("iters", 2000000));
+  banner("Table VI - gather vs scalar load-to-use latency", Env);
 
   struct Level {
     const char *Name;

@@ -39,14 +39,13 @@ int main(int Argc, char **Argv) {
   // UVM collapse).
   int Side = 320 << (Env.Scale > 3 ? (Env.Scale - 3) / 2 : 0);
   Csr G = shuffleNodeIds(roadGraph(Side, Side, 0.05, 21), 22);
-  // --layout=csr|hubcsr|sell: topology sweeps are traced through the
+  // --layout=csr|sell: topology sweeps are traced through the
   // layout's real storage addresses, and the footprint includes the
   // layout's auxiliary arrays.
-  LayoutKind LK = parseLayoutKind(Env.Opts.getString("layout", "csr"));
-  AnyLayout Layout = AnyLayout::build(LK, G);
+  AnyLayout Layout = AnyLayout::build(Env.Layout, G);
   std::printf("graph: %d nodes, %d arcs (road class, shuffled ids, "
               "OSM-EUR stand-in), layout=%s\n\n",
-              G.numNodes(), G.numEdges(), layoutName(LK));
+              G.numNodes(), G.numEdges(), layoutName(Env.Layout));
 
   Table T({"app", "footprint MB", "GPU 75%", "GPU 50%", "CPU 75%",
            "CPU 50%"});

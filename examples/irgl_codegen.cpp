@@ -10,7 +10,7 @@
 //
 //   $ ./irgl_codegen [--program=bfs|bfstp|cc|sssp] [--io=0] [--np=0] [--cc=0]
 //                    [--fibers=0] [--emit=irgl|cpp|both]
-//                    [--layout=csr|hubcsr|sell]
+//                    [--layout=csr|sell]
 //                    [--direction=push|pull|hybrid] [--alpha=15] [--beta=18]
 //
 //===----------------------------------------------------------------------===//

@@ -105,9 +105,8 @@ struct KernelConfig {
 
   // --- Graph layout (storage the SIMD loops consume) ---------------------
   /// Which GraphView the runtime-dispatch entry points build when handed a
-  /// bare Csr: plain CSR (the paper's layout), hub-partitioned CSR, or
-  /// SELL-C-sigma slices. Statically typed call sites pass their view
-  /// directly and ignore this.
+  /// bare Csr: plain CSR (the paper's layout) or SELL-C-sigma slices.
+  /// Statically typed call sites pass their view directly and ignore this.
   LayoutKind Layout = LayoutKind::Csr;
   /// SELL-C-sigma sorting window in nodes (the sigma knob of the layout
   /// ablation); C itself follows the execution target's SIMD width.

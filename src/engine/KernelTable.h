@@ -10,9 +10,8 @@
 /// layout) table of uniform adapters indexed by KernelKind, replacing the
 /// old hand-maintained switch. Deliberately not included from Kernels.h:
 /// each view's 10-kernel x all-targets instantiation is heavy, so CsrView
-/// is instantiated in Kernels.cpp and the HubCsr/Sell views in
-/// KernelsLayout.cpp, keeping per-TU compile time flat as layouts are
-/// added.
+/// is instantiated in Kernels.cpp only and SellView in KernelsLayout.cpp
+/// (which declares the CsrView instantiation extern), one view per TU.
 ///
 //===----------------------------------------------------------------------===//
 

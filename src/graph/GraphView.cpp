@@ -20,8 +20,6 @@ const char *egacs::layoutName(LayoutKind K) {
   switch (K) {
   case LayoutKind::Csr:
     return "csr";
-  case LayoutKind::HubCsr:
-    return "hubcsr";
   case LayoutKind::Sell:
     return "sell";
   }
@@ -31,30 +29,9 @@ const char *egacs::layoutName(LayoutKind K) {
 LayoutKind egacs::parseLayoutKind(const std::string &Name) {
   if (Name == "csr")
     return LayoutKind::Csr;
-  if (Name == "hubcsr" || Name == "hub")
-    return LayoutKind::HubCsr;
   if (Name == "sell")
     return LayoutKind::Sell;
-  parseEnumFail("layout", Name, "csr|hubcsr|sell");
-}
-
-// --- HubCsrView --------------------------------------------------------------
-
-HubCsrView::HubCsrView(const Csr &Graph, const LayoutOptions &Opts)
-    : G(&Graph), Threshold(Opts.HubThreshold) {
-  NodeId N = Graph.numNodes();
-  Order.allocate(static_cast<std::size_t>(N));
-  std::iota(Order.data(), Order.data() + N, NodeId{0});
-  // Degree descending; stable so equal-degree runs keep id order, which
-  // preserves what CSR locality the tail had.
-  std::stable_sort(Order.data(), Order.data() + N,
-                   [&Graph](NodeId A, NodeId B) {
-                     return Graph.degree(A) > Graph.degree(B);
-                   });
-  Hubs = 0;
-  while (Hubs < N && Graph.degree(Order[static_cast<std::size_t>(Hubs)]) >=
-                         Threshold)
-    ++Hubs;
+  parseEnumFail("layout", Name, "csr|sell");
 }
 
 // --- SellView ----------------------------------------------------------------
@@ -166,9 +143,6 @@ AnyLayout AnyLayout::build(LayoutKind K, const Csr &G,
   switch (K) {
   case LayoutKind::Csr:
     break;
-  case LayoutKind::HubCsr:
-    L.Hub.emplace(G, Opts);
-    break;
   case LayoutKind::Sell:
     L.SellV.emplace(G, Opts);
     break;
@@ -192,13 +166,9 @@ void AnyLayout::adoptTranspose(std::shared_ptr<const Csr> T,
                                const LayoutOptions &Opts) {
   TGraph = std::move(T);
   TPlain = CsrView(*TGraph);
-  THub.reset();
   TSell.reset();
   switch (Kind) {
   case LayoutKind::Csr:
-    break;
-  case LayoutKind::HubCsr:
-    THub.emplace(*TGraph, Opts);
     break;
   case LayoutKind::Sell:
     TSell.emplace(*TGraph, Opts);

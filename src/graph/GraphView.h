@@ -23,16 +23,14 @@
 ///  * rowSlice(N)                  -- a strided descriptor of one adjacency
 ///    row inside the layout's native storage.
 ///
-/// Three implementations:
-///  * CsrView    -- zero-cost wrapper over Csr; the static-policy default.
+/// Two implementations:
+///  * CsrView  -- zero-cost wrapper over Csr; the default.
 ///    Templates instantiated with it compile to exactly the pre-view code.
-///  * HubCsrView -- degree-descending hub/tail iteration permutation over
-///    the unmodified CSR arrays. Degree-homogeneous node vectors pair with
-///    the NP heavy/light bins and work-stealing scheduling.
-///  * SellView   -- SELL-C-sigma sliced storage (SlimSell, Besta et al.):
+///  * SellView -- SELL-C-sigma sliced storage (SlimSell, Besta et al.):
 ///    C-row chunks stored column-major so neighbor j of C consecutive rows
 ///    is one unit-stride vector load; sigma bounds the sorting window and
-///    thus the padding.
+///    thus the padding. Its slots iterate nodes in a permuted
+///    (degree-sorted) order.
 ///
 /// Raw `Csr` itself still satisfies the scalar + default vector surface, so
 /// existing call sites (and IrGL-generated drivers) keep compiling.
@@ -56,25 +54,22 @@ namespace egacs {
 
 /// The storage layouts a graph may be presented through.
 enum class LayoutKind : int {
-  Csr,    ///< Plain CSR (the paper's layout).
-  HubCsr, ///< CSR arrays + degree-descending hub/tail iteration order.
-  Sell,   ///< SELL-C-sigma sliced, column-major chunk storage.
+  Csr,  ///< Plain CSR (the paper's layout).
+  Sell, ///< SELL-C-sigma sliced, column-major chunk storage.
 };
-inline constexpr int NumLayoutKinds = 3;
+inline constexpr int NumLayoutKinds = 2;
 inline constexpr LayoutKind AllLayoutKinds[NumLayoutKinds] = {
-    LayoutKind::Csr, LayoutKind::HubCsr, LayoutKind::Sell};
+    LayoutKind::Csr, LayoutKind::Sell};
 
-/// Returns the command-line name of \p K ("csr", "hubcsr", "sell").
+/// Returns the command-line name of \p K ("csr", "sell").
 const char *layoutName(LayoutKind K);
 
 /// Parses a layout name; prints a diagnostic and exits on unknown names
 /// (command-line parsing helper, like parseUpdatePolicy).
 LayoutKind parseLayoutKind(const std::string &Name);
 
-/// Construction parameters for the non-trivial layouts.
+/// Construction parameters for the SELL layout.
 struct LayoutOptions {
-  /// HubCsrView: nodes with degree >= HubThreshold form the hub partition.
-  EdgeId HubThreshold = 32;
   /// SellView: chunk height C, normally the SIMD width of the target the
   /// kernels will run with.
   std::int32_t SellChunk = 8;
@@ -167,52 +162,6 @@ public:
 
 private:
   const Csr *G = nullptr;
-};
-
-// --- HubCsrView --------------------------------------------------------------
-
-/// CSR arrays plus a degree-descending iteration permutation: hubs (degree
-/// >= threshold) first, then the tail. Vectors of consecutive slots carry
-/// degree-homogeneous nodes, so the NP inspector's heavy/light split stops
-/// mixing a hub with seven leaves in one vector, and the heavy prefix is
-/// what the work-stealing scheduler carves first.
-class HubCsrView {
-public:
-  static constexpr bool PermutedOrder = true;
-  static constexpr bool HasSellSlices = false;
-
-  explicit HubCsrView(const Csr &Graph, const LayoutOptions &Opts = {});
-
-  const Csr &csr() const { return *G; }
-  NodeId numNodes() const { return G->numNodes(); }
-  EdgeId numEdges() const { return G->numEdges(); }
-  bool hasWeights() const { return G->hasWeights(); }
-  EdgeId degree(NodeId N) const { return G->degree(N); }
-  EdgeId maxDegree() const { return G->maxDegree(); }
-  const EdgeId *rowStart() const { return G->rowStart(); }
-  const NodeId *edgeDst() const { return G->edgeDst(); }
-  const Weight *edgeWeight() const { return G->edgeWeight(); }
-
-  /// Slot -> node permutation (degree descending, ties by node id).
-  const NodeId *iterationOrder() const { return Order.data(); }
-  /// Number of nodes in the hub partition (a prefix of iterationOrder()).
-  NodeId hubCount() const { return Hubs; }
-  EdgeId hubThreshold() const { return Threshold; }
-
-  RowSlice rowSlice(NodeId N) const {
-    EdgeId Begin = G->rowStart()[N];
-    return {G->edgeDst() + Begin, nullptr, G->degree(N), 1, Begin};
-  }
-
-  std::size_t layoutAuxBytes() const {
-    return Order.size() * sizeof(NodeId);
-  }
-
-private:
-  const Csr *G;
-  AlignedBuffer<NodeId> Order;
-  NodeId Hubs = 0;
-  EdgeId Threshold = 0;
 };
 
 // --- SellView ----------------------------------------------------------------
@@ -345,13 +294,12 @@ public:
 
   LayoutKind kind() const { return Kind; }
   const Csr &csr() const { return Plain.csr(); }
-  const HubCsrView *hub() const { return Hub ? &*Hub : nullptr; }
   const SellView *sell() const { return SellV ? &*SellV : nullptr; }
 
   /// Computes the transposed graph (Csr::transpose) and builds the
   /// same-kind view over it, enabling the pull-direction kernels. \p Opts
   /// should match the options the forward layout was built with so the
-  /// transposed SELL/Hub view gets the same chunk/threshold shape.
+  /// transposed SELL view gets the same chunk/sigma shape.
   void buildTranspose(const LayoutOptions &Opts = {});
   /// Adopts an already-computed transpose (e.g. restored from the binary
   /// graph cache, see graph/Loader.h) instead of recomputing it.
@@ -367,8 +315,6 @@ public:
   /// Invokes \p F with the statically typed view.
   template <typename Fn> decltype(auto) visit(Fn &&F) const {
     switch (Kind) {
-    case LayoutKind::HubCsr:
-      return F(*Hub);
     case LayoutKind::Sell:
       return F(*SellV);
     case LayoutKind::Csr:
@@ -382,8 +328,6 @@ public:
   /// buildTranspose()); the direction-optimizing kernels consume the pair.
   template <typename Fn> decltype(auto) visitWithTranspose(Fn &&F) const {
     switch (Kind) {
-    case LayoutKind::HubCsr:
-      return F(*Hub, THub ? &*THub : nullptr);
     case LayoutKind::Sell:
       return F(*SellV, TSell ? &*TSell : nullptr);
     case LayoutKind::Csr:
@@ -395,13 +339,11 @@ public:
 private:
   LayoutKind Kind = LayoutKind::Csr;
   CsrView Plain;
-  std::optional<HubCsrView> Hub;
   std::optional<SellView> SellV;
   /// Transposed graph + same-kind views (shared_ptr keeps the Csr's address
   /// stable across AnyLayout moves; the views point into it).
   std::shared_ptr<const Csr> TGraph;
   CsrView TPlain;
-  std::optional<HubCsrView> THub;
   std::optional<SellView> TSell;
 };
 

@@ -224,8 +224,6 @@ const char *layoutEnumName(egacs::LayoutKind K) {
   switch (K) {
   case egacs::LayoutKind::Csr:
     return "Csr";
-  case egacs::LayoutKind::HubCsr:
-    return "HubCsr";
   case egacs::LayoutKind::Sell:
     return "Sell";
   }

@@ -92,8 +92,9 @@ bool egacs::kernelUsesDirection(KernelKind Kind) {
          Kind == KernelKind::Cc || Kind == KernelKind::Pr;
 }
 
-// The CsrView (default-layout) instantiation lives here; HubCsrView and
-// SellView are instantiated in KernelsLayout.cpp to split compile time.
+// The CsrView (default-layout) instantiation lives here and only here
+// (KernelsLayout.cpp declares it extern); SellView is instantiated in
+// KernelsLayout.cpp to split compile time.
 template KernelOutput egacs::runKernelView<CsrView>(KernelKind,
                                                     simd::TargetKind,
                                                     const CsrView &,

@@ -94,8 +94,8 @@ struct KernelOutput {
 };
 
 /// Runs \p Kind on \p Target through the statically typed GraphView \p G.
-/// Instantiated for CsrView (Kernels.cpp) and HubCsrView/SellView
-/// (KernelsLayout.cpp); the definition lives in engine/KernelTable.h.
+/// Instantiated for CsrView (Kernels.cpp) and SellView (KernelsLayout.cpp);
+/// the definition lives in engine/KernelTable.h.
 /// \p GT is the same-typed view over the transposed graph; the
 /// direction-capable kernels (kernelUsesDirection) need it non-null for
 /// Cfg.Dir != Push and fall back to push when it is absent.

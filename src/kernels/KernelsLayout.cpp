@@ -1,4 +1,4 @@
-//===- kernels/KernelsLayout.cpp - Non-default layout instantiations ------===//
+//===- kernels/KernelsLayout.cpp - SELL instantiation, AnyLayout dispatch -===//
 //
 // Part of the EGACS project, a reproduction of "Efficient Execution of Graph
 // Algorithms on CPU with SIMD Extensions" (CGO 2021).
@@ -6,11 +6,11 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// Explicit runKernelView instantiations for the reordered layouts
-/// (HubCsrView, SellView) and the runtime AnyLayout dispatcher. A separate
-/// TU from Kernels.cpp so the 10-kernel x all-targets template expansion of
-/// each layout compiles in parallel and the default CsrView path is not
-/// held hostage to it.
+/// The explicit runKernelView instantiation for SellView and the runtime
+/// AnyLayout dispatcher. A separate TU from Kernels.cpp so the 10-kernel x
+/// all-targets template expansion of each layout compiles in parallel. The
+/// dispatcher's CsrView arm links against the instantiation in Kernels.cpp;
+/// the extern declaration below keeps this TU from compiling it again.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -18,12 +18,9 @@
 
 using namespace egacs;
 
-template KernelOutput egacs::runKernelView<HubCsrView>(KernelKind,
-                                                       simd::TargetKind,
-                                                       const HubCsrView &,
-                                                       const KernelConfig &,
-                                                       NodeId,
-                                                       const HubCsrView *);
+extern template KernelOutput egacs::runKernelView<CsrView>(
+    KernelKind, simd::TargetKind, const CsrView &, const KernelConfig &,
+    NodeId, const CsrView *);
 
 template KernelOutput egacs::runKernelView<SellView>(KernelKind,
                                                      simd::TargetKind,
@@ -44,8 +41,6 @@ KernelOutput egacs::runKernel(KernelKind Kind, simd::TargetKind Target,
     if (const SellView *S = L.sell()) {
       Opts.SellChunk = S->chunkWidth();
       Opts.SellSigma = S->sigma();
-    } else if (const HubCsrView *H = L.hub()) {
-      Opts.HubThreshold = H->hubThreshold();
     }
     AnyLayout WithT = AnyLayout::build(L.kind(), L.csr(), Opts);
     WithT.buildTranspose(Opts);

@@ -28,6 +28,7 @@ Options::Options(int Argc, char **Argv) {
 }
 
 bool Options::lookup(const std::string &Key, std::string &OutValue) const {
+  Read.insert(Key);
   auto It = Args.find(Key);
   if (It != Args.end()) {
     OutValue = It->second;
@@ -71,4 +72,12 @@ bool Options::getBool(const std::string &Key, bool Default) const {
   if (!lookup(Key, Value))
     return Default;
   return Value != "0" && Value != "false" && Value != "no";
+}
+
+std::vector<std::string> Options::unreadKeys() const {
+  std::vector<std::string> Keys;
+  for (const auto &[Key, Value] : Args)
+    if (!Read.count(Key))
+      Keys.push_back(Key);
+  return Keys;
 }

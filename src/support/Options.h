@@ -18,7 +18,9 @@
 
 #include <cstdint>
 #include <map>
+#include <set>
 #include <string>
+#include <vector>
 
 namespace egacs {
 
@@ -41,12 +43,19 @@ public:
   /// Returns true when the flag \p Key is present (any value but "0"/"false").
   bool getBool(const std::string &Key, bool Default) const;
 
+  /// The command-line keys no get* call has asked for yet, in key order.
+  /// Once a program has read all its options, these are typos or retired
+  /// flags that would otherwise be ignored silently.
+  std::vector<std::string> unreadKeys() const;
+
 private:
   /// Looks up \p Key in the command line, then the environment. Returns
   /// nullptr-equivalent (empty optional via bool) through OutValue.
   bool lookup(const std::string &Key, std::string &OutValue) const;
 
   std::map<std::string, std::string> Args;
+  /// Every key a get* call has looked up.
+  mutable std::set<std::string> Read;
 };
 
 } // namespace egacs

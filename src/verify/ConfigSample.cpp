@@ -32,6 +32,15 @@ T pick(Xoshiro256 &Rng, const T (&Palette)[N]) {
 
 bool coin(Xoshiro256 &Rng) { return Rng.nextBounded(2) == 1; }
 
+// Every value of the enum knobs that have no public table: the sampler
+// draws from them and parseConfigSpec matches names against them.
+constexpr UpdatePolicy AllUpdates[] = {
+    UpdatePolicy::Atomic, UpdatePolicy::Combined, UpdatePolicy::Privatized};
+constexpr PrefetchPolicy AllPrefetches[] = {
+    PrefetchPolicy::None, PrefetchPolicy::Rows, PrefetchPolicy::RowsProps};
+constexpr Direction AllDirections[] = {Direction::Push, Direction::Pull,
+                                       Direction::Hybrid};
+
 } // namespace
 
 SampledRun verify::sampleRun(Xoshiro256 &Rng) {
@@ -57,23 +66,17 @@ SampledRun verify::sampleRun(Xoshiro256 &Rng) {
   static constexpr std::int64_t Chunks[] = {1, 16, 256, 1024};
   R.Cfg.ChunkSize = pick(Rng, Chunks);
 
-  static constexpr UpdatePolicy Updates[] = {
-      UpdatePolicy::Atomic, UpdatePolicy::Combined, UpdatePolicy::Privatized};
-  R.Cfg.Update = pick(Rng, Updates);
+  R.Cfg.Update = pick(Rng, AllUpdates);
 
-  static constexpr PrefetchPolicy Prefetches[] = {
-      PrefetchPolicy::None, PrefetchPolicy::Rows, PrefetchPolicy::RowsProps};
-  R.Cfg.Prefetch = pick(Rng, Prefetches);
+  R.Cfg.Prefetch = pick(Rng, AllPrefetches);
   static constexpr int PfDists[] = {0, 2, 8};
   R.Cfg.PrefetchDist = pick(Rng, PfDists);
 
-  R.Cfg.Layout = AllLayoutKinds[Rng.nextBounded(NumLayoutKinds)];
+  R.Cfg.Layout = pick(Rng, AllLayoutKinds);
   static constexpr std::int32_t Sigmas[] = {64, 1 << 12};
   R.Cfg.SellSigma = pick(Rng, Sigmas);
 
-  static constexpr Direction Dirs[] = {Direction::Push, Direction::Pull,
-                                       Direction::Hybrid};
-  R.Cfg.Dir = pick(Rng, Dirs);
+  R.Cfg.Dir = pick(Rng, AllDirections);
   static constexpr int Alphas[] = {4, 15};
   R.Cfg.AlphaNum = pick(Rng, Alphas);
   static constexpr int Betas[] = {2, 18};
@@ -165,6 +168,23 @@ float specFloat(const std::string &Spec, const std::string &Value) {
   }
 }
 
+/// Matches \p Value against the names of \p Table; an unknown name throws
+/// with the valid set, in the shape parseEnumFail prints.
+template <typename T, std::size_t N, typename NameFn>
+T specEnum(const std::string &Spec, const char *What, const std::string &Value,
+           const T (&Table)[N], NameFn Name) {
+  std::string Valid;
+  for (T V : Table) {
+    if (Value == Name(V))
+      return V;
+    if (!Valid.empty())
+      Valid += '|';
+    Valid += Name(V);
+  }
+  specError(Spec, std::string("unknown ") + What + " '" + Value +
+                      "'; valid values are " + Valid);
+}
+
 } // namespace
 
 SampledRun verify::parseConfigSpec(const std::string &Spec) {
@@ -184,9 +204,10 @@ SampledRun verify::parseConfigSpec(const std::string &Spec) {
     std::string Key = Item.substr(0, Eq), Value = Item.substr(Eq + 1);
 
     if (Key == "kernel")
-      R.Kernel = parseKernelKind(Value);
+      R.Kernel = specEnum(Spec, "kernel", Value, AllKernels, kernelName);
     else if (Key == "target")
-      R.Target = parseTargetKind(Value);
+      R.Target =
+          specEnum(Spec, "target", Value, simd::AllTargets, simd::targetName);
     else if (Key == "tasks")
       R.Cfg.NumTasks = specInt(Spec, Value);
     else if (Key == "ts") {
@@ -207,17 +228,21 @@ SampledRun verify::parseConfigSpec(const std::string &Spec) {
     else if (Key == "chunk")
       R.Cfg.ChunkSize = specInt(Spec, Value);
     else if (Key == "update")
-      R.Cfg.Update = parseUpdatePolicy(Value);
+      R.Cfg.Update = specEnum(Spec, "update policy", Value, AllUpdates,
+                              updatePolicyName);
     else if (Key == "prefetch")
-      R.Cfg.Prefetch = parsePrefetchPolicy(Value);
+      R.Cfg.Prefetch = specEnum(Spec, "prefetch policy", Value,
+                                AllPrefetches, prefetchPolicyName);
     else if (Key == "pfdist")
       R.Cfg.PrefetchDist = specInt(Spec, Value);
     else if (Key == "layout")
-      R.Cfg.Layout = parseLayoutKind(Value);
+      R.Cfg.Layout =
+          specEnum(Spec, "layout", Value, AllLayoutKinds, layoutName);
     else if (Key == "sigma")
       R.Cfg.SellSigma = specInt(Spec, Value);
     else if (Key == "dir")
-      R.Cfg.Dir = parseDirection(Value);
+      R.Cfg.Dir =
+          specEnum(Spec, "direction", Value, AllDirections, directionName);
     else if (Key == "alpha")
       R.Cfg.AlphaNum = specInt(Spec, Value);
     else if (Key == "beta")

@@ -69,9 +69,8 @@ public:
 
 /// Parses a spec produced by configSpec (or hand-edited). Keys may appear
 /// in any order; omitted keys keep their defaults. Throws ConfigSpecError
-/// on an unknown key or a malformed value; an unknown enum value (kernel,
-/// target, layout, ...) prints the valid set and exits 2, as
-/// parseLayoutKind does.
+/// on an unknown key or a malformed value, including an unknown enum value
+/// (kernel, target, layout, ...), whose message lists the valid set.
 SampledRun parseConfigSpec(const std::string &Spec);
 
 /// Parses an ISPC-style target name ("avx2-i32x8"); prints the valid set

@@ -35,7 +35,7 @@ struct GraphLayout {
 
   /// Non-null for layout-aware traces.
   const AnyLayout *Layout = nullptr;
-  std::uint64_t OrderArr = 0;   ///< hub/sell slot -> node permutation.
+  std::uint64_t OrderArr = 0;   ///< sell slot -> node permutation.
   std::uint64_t SlotDegArr = 0; ///< sell per-slot degrees.
   std::uint64_t SellDstArr = 0; ///< sell column-major slice entries.
 
@@ -63,9 +63,6 @@ struct GraphLayout {
       SellDstArr = Space.addArray(
           "sell-slices",
           static_cast<std::uint64_t>(S->storedEntries()) * 4);
-    } else if (const HubCsrView *H = Layout->hub()) {
-      OrderArr = Space.addArray(
-          "layout-order", static_cast<std::uint64_t>(H->numNodes()) * 4);
     }
   }
 
@@ -83,9 +80,7 @@ struct GraphLayout {
     if (!Layout)
       return static_cast<NodeId>(Pos);
     Sim.access(OrderArr + 4ull * static_cast<std::uint64_t>(Pos));
-    if (const SellView *S = Layout->sell())
-      return S->iterationOrder()[Pos];
-    return Layout->hub()->iterationOrder()[Pos];
+    return Layout->sell()->iterationOrder()[Pos];
   }
 
   /// Records the reads that establish the degree of the node at sweep
@@ -197,8 +192,8 @@ void traceCc(const Csr &G, PagingSim &Sim, const AnyLayout *Layout) {
   std::uint64_t Comp = L.Space.addArray("comp", elems4(G.numNodes()));
 
   // Topology-driven label propagation: sequential sweeps until stable.
-  // This is the one traced app whose sweep runs in layout order, so hub /
-  // SELL layouts change both the node visit sequence and the adjacency
+  // This is the one traced app whose sweep runs in layout order, so the
+  // SELL layout changes both the node visit sequence and the adjacency
   // addresses (order array + per-slot degrees + slice entries).
   std::vector<std::int32_t> C(static_cast<std::size_t>(G.numNodes()));
   std::iota(C.begin(), C.end(), 0);

@@ -88,11 +88,7 @@ const GoldenCase Cases[] = {
     {"rmat", "kernel=pr,target=scalar-i32x1,tasks=1,ts=serial"},
     {"rmat", "kernel=cc,target=avx1-i32x4,tasks=1,ts=serial"},
     {"rmat", "kernel=mst,target=avx1-i32x4,tasks=1,ts=serial"},
-    // Layout axis: hub-partitioned CSR and SELL-C-sigma storage.
-    {"rmat", "kernel=bfs-tp,target=avx1-i32x8,tasks=1,ts=serial,"
-             "layout=hubcsr"},
-    {"rmat", "kernel=pr,target=avx1-i32x8,tasks=1,ts=serial,layout=hubcsr"},
-    {"rmat", "kernel=mis,target=avx1-i32x8,tasks=1,ts=serial,layout=hubcsr"},
+    // Layout axis: SELL-C-sigma storage.
     {"rmat", "kernel=bfs-tp,target=avx1-i32x8,tasks=1,ts=serial,layout=sell,"
              "sigma=64"},
     {"rmat", "kernel=pr,target=avx1-i32x8,tasks=1,ts=serial,layout=sell,"
@@ -101,8 +97,6 @@ const GoldenCase Cases[] = {
              "sigma=64"},
     {"rmat", "kernel=sssp,target=avx1-i32x8,tasks=1,ts=serial,layout=sell,"
              "sigma=64"},
-    {"rmat",
-     "kernel=mst,target=avx1-i32x8,tasks=1,ts=serial,layout=hubcsr"},
     {"rmat", "kernel=tri,target=avx1-i32x8,tasks=1,ts=serial,layout=sell,"
              "sigma=64"},
     // Prefetch axis: row staging and row+property staging.

@@ -3,8 +3,8 @@
 // Part of the EGACS project, a reproduction of "Efficient Execution of Graph
 // Algorithms on CPU with SIMD Extensions" (CGO 2021).
 //
-// Unit tests for the GraphView layer (graph/GraphView.h): the hub and SELL
-// permutations, the sliced storage round trip and the zero-cost guarantee of
+// Unit tests for the GraphView layer (graph/GraphView.h): the SELL
+// permutation, the sliced storage round trip and the zero-cost guarantee of
 // CsrView. Every kernel x layout x scheduling policy is certified by the
 // LayoutParity suite of ConfigGridTest.cpp.
 //
@@ -38,7 +38,6 @@ TEST(GraphViewNames, LayoutNamesRoundTrip) {
   for (LayoutKind K : AllLayoutKinds)
     EXPECT_EQ(parseLayoutKind(layoutName(K)), K);
   EXPECT_STREQ(layoutName(LayoutKind::Csr), "csr");
-  EXPECT_STREQ(layoutName(LayoutKind::HubCsr), "hubcsr");
   EXPECT_STREQ(layoutName(LayoutKind::Sell), "sell");
 }
 
@@ -113,55 +112,6 @@ TEST(CsrViewTest, KernelOpCountsMatchBareCsrInstantiation) {
   for (int S = 0; S < static_cast<int>(Stat::NumStats); ++S)
     EXPECT_EQ(Bare.get(static_cast<Stat>(S)), View.get(static_cast<Stat>(S)))
         << "counter " << S << " diverged between Csr and CsrView";
-}
-
-//===----------------------------------------------------------------------===//
-// HubCsrView: degree-descending hub/tail permutation.
-//===----------------------------------------------------------------------===//
-
-TEST(HubCsrViewTest, OrderIsDegreeDescendingPermutation) {
-  Csr G = rmatGraph(/*Scale=*/8, /*EdgeFactor=*/6, /*Seed=*/5);
-  LayoutOptions Opts;
-  Opts.HubThreshold = 16;
-  HubCsrView V(G, Opts);
-
-  std::vector<bool> Seen(static_cast<std::size_t>(G.numNodes()), false);
-  const NodeId *Order = V.iterationOrder();
-  for (NodeId S = 0; S < G.numNodes(); ++S) {
-    NodeId N = Order[S];
-    ASSERT_GE(N, 0);
-    ASSERT_LT(N, G.numNodes());
-    EXPECT_FALSE(Seen[static_cast<std::size_t>(N)]) << "duplicate slot node";
-    Seen[static_cast<std::size_t>(N)] = true;
-    if (S > 0) {
-      EXPECT_LE(G.degree(N), G.degree(Order[S - 1]))
-          << "order not degree-descending at slot " << S;
-    }
-  }
-
-  // The hub prefix is exactly the nodes at or above the threshold.
-  NodeId ExpectHubs = 0;
-  for (NodeId N = 0; N < G.numNodes(); ++N)
-    if (G.degree(N) >= Opts.HubThreshold)
-      ++ExpectHubs;
-  EXPECT_EQ(V.hubCount(), ExpectHubs);
-  for (NodeId S = 0; S < V.hubCount(); ++S)
-    EXPECT_GE(G.degree(Order[S]), Opts.HubThreshold);
-  for (NodeId S = V.hubCount(); S < G.numNodes(); ++S)
-    EXPECT_LT(G.degree(Order[S]), Opts.HubThreshold);
-}
-
-TEST(HubCsrViewTest, SlotNodesLoadsThePermutation) {
-  using BK = ScalarBackend<8>;
-  Csr G = starGraph(40);
-  HubCsrView V(G);
-  VMask<BK> All = maskAll<BK>();
-  VInt<BK> Ids = slotNodes<BK>(V, /*Slot=*/0, All);
-  // The star center is the single hub and must occupy slot 0.
-  EXPECT_EQ(extract<BK>(Ids, 0), 0);
-  EXPECT_EQ(V.hubCount(), 1);
-  for (int L = 0; L < BK::Width; ++L)
-    EXPECT_EQ(extract<BK>(Ids, L), V.iterationOrder()[L]);
 }
 
 //===----------------------------------------------------------------------===//

@@ -428,24 +428,6 @@ TEST(IrglEndToEnd, GeneratedSellLayoutBfsMatchesOracle) {
                 Opts);
 }
 
-TEST(IrglEndToEnd, GeneratedHubLayoutBfsMatchesOracle) {
-  CodeGenOptions Opts;
-  Opts.Layout = egacs::LayoutKind::HubCsr;
-  compileAndRun("bfstp_hub", buildBfsTpProgram(), OptimizationBundle::all(),
-                R"cpp(
-  std::vector<std::int32_t> Dist(static_cast<std::size_t>(G.numNodes()),
-                                 InfDist);
-  Dist[0] = 0;
-  egacs::gen::bfstp_State State;
-  State.dist = Dist.data();
-  SerialTaskSystem TS;
-  KernelConfig Cfg = KernelConfig::allOptimizations(TS, 1);
-  egacs::gen::bfstp_pipe_run_auto<simd::ScalarBackend<8>>(G, Cfg, State, 0);
-  return verify::checkBfsDistances(G, 0, Dist).Ok ? 0 : 1;
-)cpp",
-                Opts);
-}
-
 TEST(IrglEndToEnd, GeneratedSsspCompilesAndMatchesOracle) {
   compileAndRun("sssp", buildSsspProgram(), OptimizationBundle::all(), R"cpp(
   std::vector<std::int32_t> Dist(static_cast<std::size_t>(G.numNodes()),

@@ -36,7 +36,7 @@ namespace {
 TEST(ParseErrors, AllHelpersShareTheFailureShape) {
   EXPECT_PARSE_FAIL(parseTaskSystemKind("bogus"), "task system",
                     "serial\\|spawn\\|pool\\|spin");
-  EXPECT_PARSE_FAIL(parseLayoutKind("bogus"), "layout", "csr\\|hubcsr\\|sell");
+  EXPECT_PARSE_FAIL(parseLayoutKind("bogus"), "layout", "csr\\|sell\n");
   EXPECT_PARSE_FAIL(parseUpdatePolicy("bogus"), "update policy",
                     "atomic\\|combined\\|privatized\n");
   EXPECT_PARSE_FAIL(parsePrefetchPolicy("bogus"), "prefetch policy",
@@ -63,6 +63,23 @@ TEST(ParseErrors, BadConfigSpecThrows) {
   EXPECT_THROW(verify::parseConfigSpec("nokey=1"), std::invalid_argument);
 }
 
+TEST(ParseErrors, BadConfigSpecEnumValueThrows) {
+  // An unknown enum value is a bad spec like any other: it throws with the
+  // valid set instead of exiting the caller.
+  try {
+    verify::parseConfigSpec("kernel=bfs-wl,layout=hubcsr");
+    ADD_FAILURE() << "no ConfigSpecError";
+  } catch (const verify::ConfigSpecError &Err) {
+    EXPECT_STREQ(Err.what(), "bad --config spec 'kernel=bfs-wl,layout=hubcsr'"
+                             ": unknown layout 'hubcsr'; valid values are "
+                             "csr|sell");
+  }
+  for (const char *Spec : {"layout=hubcsr", "update=blocked", "kernel=bogus",
+                           "target=bogus", "prefetch=bogus", "dir=bogus"})
+    EXPECT_THROW(verify::parseConfigSpec(Spec), verify::ConfigSpecError)
+        << Spec;
+}
+
 TEST(ParseErrors, RetiredSchedulingKeysFailLoudly) {
   // Work stealing is the only distributor and propagation blocking is
   // gone: a replay spec that still names their keys must not run silently
@@ -76,9 +93,18 @@ TEST(ParseErrors, RetiredSchedulingKeysFailLoudly) {
               "atomic\\|combined\\|privatized\n");
 }
 
+TEST(ParseErrors, RetiredLayoutNamesFailLoudly) {
+  // The hub-partitioned CSR layout is gone: its names must not fall back
+  // to some other layout.
+  EXPECT_EXIT(parseLayoutKind("hubcsr"), ::testing::ExitedWithCode(2),
+              "error: unknown layout 'hubcsr'; valid values are csr\\|sell\n");
+  EXPECT_EXIT(parseLayoutKind("hub"), ::testing::ExitedWithCode(2),
+              "error: unknown layout 'hub'; valid values are csr\\|sell\n");
+}
+
 TEST(ParseErrors, ValidNamesStillParse) {
   EXPECT_EQ(parseTaskSystemKind("spin"), TaskSystemKind::SpinPool);
-  EXPECT_EQ(parseLayoutKind("hub"), LayoutKind::HubCsr) << "alias survives";
+  EXPECT_EQ(parseLayoutKind("sell"), LayoutKind::Sell);
   EXPECT_EQ(parseUpdatePolicy("privatized"), UpdatePolicy::Privatized);
   EXPECT_EQ(parsePrefetchPolicy("rows+props"), PrefetchPolicy::RowsProps);
   EXPECT_EQ(parseDirection("hybrid"), Direction::Hybrid);
