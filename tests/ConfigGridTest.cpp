@@ -14,8 +14,8 @@
 //                        system;
 //  * OptCombination    - the Fig 5 optimization bundles x every kernel on
 //                        rmat, 4 tasks;
-//  * LayoutParity      - kernel x layout x chunk size on road/rmat/random,
-//                        4 tasks;
+//  * LayoutParity      - kernel x layout shape x chunk size on
+//                        road/rmat/random, 4 tasks;
 //  * PrefetchParity    - the LayoutParity points under rows and rows+props
 //                        (LayoutParity runs none);
 //  * DirectionParity   - the direction-capable kernels of the LayoutParity
@@ -189,13 +189,35 @@ std::string name(const BundlePoint &P) {
 struct LayoutPoint {
   KernelKind Kernel;
   LayoutKind Layout;
+  std::int32_t Sigma; ///< SELL sorting window
   std::int32_t Chunk;
   std::string Graph;
 };
 
+/// The layout shapes of the 4-task suites: CSR, SELL with one sorting
+/// window over the whole graph, and SELL with 128-node windows. One window
+/// sorts every node by degree, descending and stable, which is the
+/// iteration order of the retired HubCSR layout; its points keep that
+/// layout's name, as the chunk sizes keep the retired policies' names, so
+/// the case names carry over.
+struct LayoutShape {
+  LayoutKind Layout;
+  std::int32_t Sigma;
+};
+const LayoutShape Shapes[] = {{LayoutKind::Csr, 128},
+                              {LayoutKind::Sell, 1 << 30},
+                              {LayoutKind::Sell, 128}};
+
+std::string shapeName(const LayoutPoint &P) {
+  return P.Layout == LayoutKind::Sell && P.Sigma == Shapes[1].Sigma
+             ? "hubcsr"
+             : layoutName(P.Layout);
+}
+
 /// The point's run, with \p Extra ("prefetch=rows") appended to its spec.
 GridCase layoutCase(const LayoutPoint &P, const std::string &Extra = "") {
-  return {P.Graph, "tasks=4,delta=512,sigma=128," + bestTarget() +
+  return {P.Graph, "tasks=4,delta=512,sigma=" + std::to_string(P.Sigma) +
+                       "," + bestTarget() +
                        ",kernel=" + kernelName(P.Kernel) +
                        ",layout=" + layoutName(P.Layout) +
                        ",chunk=" + std::to_string(P.Chunk) +
@@ -203,17 +225,17 @@ GridCase layoutCase(const LayoutPoint &P, const std::string &Extra = "") {
 }
 
 std::string name(const LayoutPoint &P) {
-  return joinName({kernelName(P.Kernel), layoutName(P.Layout),
-                   chunkName(P.Chunk), P.Graph});
+  return joinName({kernelName(P.Kernel), shapeName(P), chunkName(P.Chunk),
+                   P.Graph});
 }
 
 std::vector<LayoutPoint> layoutPoints(const std::vector<KernelKind> &Kernels) {
   std::vector<LayoutPoint> Points;
   for (KernelKind Kernel : Kernels)
-    for (LayoutKind Layout : AllLayoutKinds)
+    for (const LayoutShape &Shape : Shapes)
       for (std::int32_t Chunk : Chunks)
         for (const char *Graph : {"road", "rmat", "random"})
-          Points.push_back({Kernel, Layout, Chunk, Graph});
+          Points.push_back({Kernel, Shape.Layout, Shape.Sigma, Chunk, Graph});
   return Points;
 }
 
