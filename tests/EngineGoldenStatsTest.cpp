@@ -114,6 +114,15 @@ const GoldenCase Cases[] = {
              "prefetch=rows+props,pfdist=4"},
     {"rmat", "kernel=sssp,target=avx1-i32x8,tasks=1,ts=serial,"
              "prefetch=rows+props,pfdist=2,layout=sell,sigma=64"},
+    // Staging on the unfibered worklist loop, on the plain (non-NP) edge
+    // walk over SELL, and on hybrid SELL pull walks (perfbench rmat-hybrid's
+    // shape).
+    {"rmat", "kernel=bfs-wl,target=avx1-i32x8,tasks=1,ts=serial,fib=0,"
+             "prefetch=rows,pfdist=4"},
+    {"rmat", "kernel=bfs-tp,target=avx1-i32x8,tasks=1,ts=serial,np=0,"
+             "prefetch=rows+props,pfdist=4,layout=sell,sigma=64"},
+    {"rmat", "kernel=bfs-hb,target=avx1-i32x8,tasks=1,ts=serial,dir=hybrid,"
+             "layout=sell,sigma=64,prefetch=rows+props,pfdist=4"},
     // Direction axis: forced pull and hybrid switching.
     {"rmat", "kernel=bfs-wl,target=avx1-i32x8,tasks=1,ts=serial,dir=pull"},
     {"rmat", "kernel=bfs-wl,target=avx1-i32x8,tasks=1,ts=serial,dir=hybrid,"
