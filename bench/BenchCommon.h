@@ -61,6 +61,7 @@
 #include "trace/TraceExport.h"
 #include "verify/Oracle.h"
 
+#include <algorithm>
 #include <cstdio>
 #include <cstdlib>
 #include <exception>
@@ -105,6 +106,13 @@ inline void installGraphSizeErrorExit() {
       Previous();
     std::abort();
   });
+}
+
+/// The median of \p V (the mean of the middle two for an even count).
+template <typename T> T median(std::vector<T> V) {
+  std::sort(V.begin(), V.end());
+  std::size_t N = V.size();
+  return N % 2 ? V[N / 2] : (V[N / 2 - 1] + V[N / 2]) / 2;
 }
 
 /// Common harness options parsed from argv/environment.

@@ -67,12 +67,6 @@ constexpr bool UnderTsan = false;
 constexpr bool UnderTsan = false;
 #endif
 
-template <typename T> T median(std::vector<T> V) {
-  std::sort(V.begin(), V.end());
-  std::size_t N = V.size();
-  return N % 2 ? V[N / 2] : (V[N / 2 - 1] + V[N / 2]) / 2;
-}
-
 /// The timed reps of one row, plus its optional op-counted run.
 struct Measurement {
   std::vector<double> WallMs;        ///< one per timed rep

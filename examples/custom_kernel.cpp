@@ -31,7 +31,8 @@ namespace {
 /// point; nodes surviving with RemDeg >= K form the k-core.
 ///
 /// The kernel demonstrates the core idioms:
-///  * vertex vectors with tail masks (forEachWorklistSlice);
+///  * vertex vectors with tail masks (forEachWorklistSlice, unstaged by
+///    the inactive prefetch plan NoPrefetch);
 ///  * per-lane edge iteration (plainForEachEdge) with gathers;
 ///  * vector atomics (atomicAddVector) and aggregated pushes (pushCoop);
 ///  * the outlined Pipe loop (runPipe): it takes round 0's frontier, and
@@ -72,8 +73,8 @@ std::vector<std::int32_t> kCore(const Csr &G, const KernelConfig &Cfg,
             pushFrontier<BK>(Cfg, WL.out(), nullptr, Dst, NowBelow);
         };
         forEachWorklistSlice<BK>(
-            Cfg, *Sched, WL.in().items(), WL.in().size(), TaskIdx, TaskCount,
-            [&](VInt<BK> Node, VMask<BK> Act) {
+            Cfg, G, *Sched, WL.in().items(), WL.in().size(), TaskIdx,
+            TaskCount, NoPrefetch, TL.Pf, [&](VInt<BK> Node, VMask<BK> Act) {
               // Peel each node once (it enters the list exactly once).
               scatter<BK>(Peeled.data(), Node, splat<BK>(1), Act);
               visitEdges<BK>(Cfg, G, Node, Act, TL.Np, OnEdge);

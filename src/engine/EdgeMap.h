@@ -98,10 +98,6 @@ namespace engine {
 inline constexpr struct NoFilterT {
 } NoFilter{};
 
-/// Tag disabling an edgeMapFlat inspect stage.
-inline constexpr struct NoInspectT {
-} NoInspect{};
-
 /// Sparse edge map: expands this task's share of the worklist \p In through
 /// the staged slice loop, calling OnEdge(Src, Dst, EdgeIdx, Mask) for every
 /// live edge vector, then drains the NP staging buffer. This is one
@@ -159,46 +155,31 @@ template <typename BK, typename VT, typename EdgeFnT>
 void edgeMapPull(const VT &GT, simd::VInt<BK> Node, simd::VMask<BK> Act,
                  EdgeFnT &&Fn, std::int64_t Slot = NoSlot,
                  std::int64_t *EarlyExits = nullptr) {
-  pullForEachEdge<BK>(GT, Node, Act, Fn, Slot, EarlyExits);
+  walkEdges<BK>(GT, Node, Act, Fn, Slot, EarlyExits);
 }
 
 /// Edge-parallel sweep: Body(int64 EBase, VMask ValidLanes) runs once per
 /// vector-wide batch of consecutive CSR edge ids in this task's scheduled
-/// ranges. When \p Inspect is true the far and near stages run ahead of the
-/// body — FarFn/NearFn(int64 Pos, int64 RangeEnd) prefetch the batch
-/// starting at Pos, \p Far and \p Near elements ahead of execution
-/// respectively (pass NoInspect to drop a stage). Kernels whose inner loops
-/// chase data-dependent cursors (two-pointer merges, root chases) carry
-/// their own inspect stages this way instead of the generic staged vertex
-/// loop.
+/// ranges. When \p Inspect is true the far and near stages of \p LA run
+/// ahead of the body — FarFn/NearFn(int64 Pos, int64 RangeEnd) prefetch the
+/// batch starting at Pos (pass NoInspect to drop a stage). Kernels whose
+/// inner loops chase data-dependent cursors (two-pointer merges, root
+/// chases) carry their own inspect stages this way instead of the vertex
+/// loop's row/edge stages.
 template <typename BK, typename FarT, typename NearT, typename BodyT>
 void edgeMapFlat(LoopScheduler &Sched, std::int64_t NumEdges, int TaskIdx,
-                 int TaskCount, bool Inspect, std::int64_t Far, FarT &&FarFn,
-                 std::int64_t Near, NearT &&NearFn, BodyT &&Body,
+                 int TaskCount, bool Inspect, const Lookahead &LA,
+                 FarT &&FarFn, NearT &&NearFn, BodyT &&Body,
                  [[maybe_unused]] trace::TaskTrace *TT = nullptr) {
-  constexpr bool HasFar = !std::is_same_v<std::decay_t<FarT>, NoInspectT>;
-  constexpr bool HasNear = !std::is_same_v<std::decay_t<NearT>, NoInspectT>;
   EGACS_TRACED(trace::ScopedSpan Span(TT, trace::SpanKind::EdgeMapFlat,
                                       NumEdges);)
   Sched.forRanges(NumEdges, TaskIdx, TaskCount, [&](std::int64_t RB,
                                                     std::int64_t RE) {
-    if (Inspect) {
-      if constexpr (HasFar)
-        for (std::int64_t P = RB; P < RB + Far && P < RE; P += BK::Width)
-          FarFn(P, RE);
-      if constexpr (HasNear)
-        for (std::int64_t P = RB; P < RB + Near && P < RE; P += BK::Width)
-          NearFn(P, RE);
-    }
+    if (Inspect)
+      LA.warm(RB, RE, BK::Width, FarFn, NearFn);
     for (std::int64_t EBase = RB; EBase < RE; EBase += BK::Width) {
-      if (Inspect) {
-        if constexpr (HasFar)
-          if (EBase + Far < RE)
-            FarFn(EBase + Far, RE);
-        if constexpr (HasNear)
-          if (EBase + Near < RE)
-            NearFn(EBase + Near, RE);
-      }
+      if (Inspect)
+        LA.ahead(EBase, RE, FarFn, NearFn);
       int Valid = static_cast<int>(
           RE - EBase < BK::Width ? RE - EBase : BK::Width);
       Body(EBase, simd::maskFirstN<BK>(Valid));

@@ -353,10 +353,26 @@ private:
 /// order); layouts then fall back to the CSR gather surface.
 inline constexpr std::int64_t NoSlot = -1;
 
+/// True when the node vector whose lane 0 sits at layout slot \p Slot is
+/// one whole SELL chunk (Width-aligned, chunk height == Width), so its
+/// neighbors can be swept with unit-stride loads. False for every other
+/// view and for worklist-order vectors (NoSlot).
+template <typename BK, typename VT>
+bool sellChunkAligned(const VT &G, std::int64_t Slot) {
+  if constexpr (ViewSellTraits<VT>::SellSlices)
+    return Slot >= 0 && Slot % BK::Width == 0 &&
+           G.chunkWidth() == static_cast<std::int32_t>(BK::Width);
+  else {
+    (void)G;
+    (void)Slot;
+    return false;
+  }
+}
+
 /// Fetches the neighbors addressed by original edge indices \p EdgeIdx.
 /// The generic implementation is the CSR hardware gather; slot-aligned
 /// sweeps over sliced layouts bypass this with unit-stride loads (see
-/// npForEachEdge / plainForEachEdge).
+/// walkEdges).
 template <typename BK, typename VT>
 simd::VInt<BK> gatherNeighbors(const VT &G, simd::VInt<BK> EdgeIdx,
                                simd::VMask<BK> M) {

@@ -76,9 +76,9 @@ public:
       // Node sweeps run in layout (slot) order: the view's
       // forEachNodeSlice hands the body the node ids of each vector plus
       // the slot index, which SELL-sliced layouts use to take the
-      // contiguous-load fast path in the edge loops below. The staged
-      // overload threads the kernel's prefetch plan through the sweep (an
-      // inactive plan is the exact unstaged loop).
+      // contiguous-load fast path in the edge loops below. The kernel's
+      // prefetch plan stages the sweep (an inactive plan is the plain
+      // loop).
       open("forEachNodeSlice<BK>(G, Sched, TaskIdx, TaskCount, PF, TL.Pf, "
            "[&](VInt<BK> V_" +
            S.Var + ", VMask<BK> M_outer, std::int64_t Slot) {");
@@ -92,8 +92,8 @@ public:
     }
     case Stmt::Kind::ForAllItems: {
       // Worklist items arrive in push order, not layout order: edge loops
-      // below must use the gather path (NoSlot). The staged overload runs
-      // the prefetch pipeline over the item stream.
+      // below must use the gather path (NoSlot). The kernel's prefetch
+      // plan stages the item stream the same way.
       open("forEachWorklistSlice<BK>(Cfg, G, Sched, In.items(), In.size(), "
            "TaskIdx, TaskCount, PF, TL.Pf, [&](VInt<BK> V_" +
            S.Var + ", VMask<BK> M_outer) {");

@@ -81,8 +81,7 @@ MstResult boruvkaMst(const VT &G, const KernelConfig &Cfg) {
   // those lines Dist vectors ahead. Later hops are data-dependent and stay
   // demand-fetched. Parent is a (mutable) property array, so the stage runs
   // only under rows+props; it is prefetch-only — never read ahead of time.
-  const std::int64_t PfFar =
-      static_cast<std::int64_t>(R.PF.Dist > 0 ? R.PF.Dist : 0) * BK::Width;
+  const Lookahead PfAhead{R.PF.lookahead(BK::Width).Far, 0};
 
   // Each component's minimum outgoing edge via 64-bit atomic min.
   TaskFn FindMinEdges = [&](int TaskIdx, int TaskCount) {
@@ -97,8 +96,8 @@ MstResult boruvkaMst(const VT &G, const KernelConfig &Cfg) {
       }
     };
     engine::edgeMapFlat<BK>(
-        *R.Sched, G.numEdges(), TaskIdx, TaskCount, Staged, PfFar,
-        InspectParents, 0, engine::NoInspect,
+        *R.Sched, G.numEdges(), TaskIdx, TaskCount, Staged, PfAhead,
+        InspectParents, NoInspect,
         [&](std::int64_t EBase, VMask<BK> Act) {
           VInt<BK> U = maskedLoad<BK>(EdgeSrc.data() + EBase, Act);
           VInt<BK> V = maskedLoad<BK>(G.edgeDst() + EBase, Act);

@@ -127,13 +127,13 @@ std::vector<float> pageRank(const VT &G, const KernelConfig &Cfg,
   // here (written in phase 1 behind a barrier) and each Accum slot has a
   // single writer, so the round is race-free without any atomics.
   TaskFn PullContrib = [&](int TaskIdx, int TaskCount) {
-    auto E = R.ctx(TaskIdx, TaskCount);
+    auto E = R.ctx(*GT, TaskIdx, TaskCount);
     EGACS_TRACED(trace::ScopedSpan Span(E.TL.Trace,
                                         trace::SpanKind::UpdateScatter);)
     std::uint64_t T0 = Eng.scatterStart();
     std::int64_t Scanned = 0;
     engine::vertexMapDense<BK>(
-        E, *GT, [&](VInt<BK> Node, VMask<BK> Act, std::int64_t Slot) {
+        E, [&](VInt<BK> Node, VMask<BK> Act, std::int64_t Slot) {
           VFloat<BK> Sum = splatF<BK>(0.0f);
           engine::edgeMapPull<BK>(
               *GT, Node, Act,

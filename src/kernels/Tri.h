@@ -50,11 +50,6 @@ std::int64_t triangleCount(const VT &G, const KernelConfig &Cfg) {
     EGACS_TRACED(if (Cfg.Trace) TaskTT = Cfg.Trace->taskTrace(TaskIdx);)
     std::int64_t LocalCount = 0;
     PrefetchCounters PfC;
-    const std::int64_t Far =
-        static_cast<std::int64_t>(PF.Dist > 0 ? PF.Dist : 0) * BK::Width;
-    const std::int64_t Near =
-        static_cast<std::int64_t>(PF.Dist > 0 ? (PF.Dist + 1) / 2 : 0) *
-        BK::Width;
     auto InspectRows = [&](std::int64_t P, std::int64_t RE) {
       using namespace prefetchdetail;
       std::int64_t Stop = P + BK::Width < RE ? P + BK::Width : RE;
@@ -83,8 +78,8 @@ std::int64_t triangleCount(const VT &G, const KernelConfig &Cfg) {
     // scheduled range. Per-edge work varies with deg(u) + deg(v), so the
     // dynamic policies pay off most here on skewed graphs.
     engine::edgeMapFlat<BK>(
-        *Sched, G.numEdges(), TaskIdx, TaskCount, PF.active(), Far,
-        InspectRows, Near, InspectHeads,
+        *Sched, G.numEdges(), TaskIdx, TaskCount, PF.active(),
+        PF.lookahead(BK::Width), InspectRows, InspectHeads,
         [&](std::int64_t EBase, VMask<BK> Act) {
           VInt<BK> U = maskedLoad<BK>(EdgeSrc.data() + EBase, Act);
           VInt<BK> V = maskedLoad<BK>(G.edgeDst() + EBase, Act);

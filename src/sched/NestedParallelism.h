@@ -20,6 +20,10 @@
 /// The compiler (src/irgl) inserts this inspector-executor around edge loops
 /// when the NP optimization is on; hand-written kernels call npForEachEdge.
 ///
+/// Under an armed prefetch plan the staging-buffer flush and the heavy-node
+/// sweep run their inspect stages through the same Lookahead as the vertex
+/// loops (sched/Prefetch.h); unarmed, they are the plain loops.
+///
 //===----------------------------------------------------------------------===//
 
 #ifndef EGACS_SCHED_NESTEDPARALLELISM_H
@@ -78,17 +82,15 @@ public:
   template <typename BK, typename VT, typename EdgeFnT>
   void flush(const VT &G, EdgeFnT &&Fn) {
     using namespace simd;
-    const std::int32_t Ahead =
-        Pf != nullptr
-            ? static_cast<std::int32_t>(Pf->Dist > 0 ? Pf->Dist : 0) *
-                  BK::Width
-            : 0;
+    const Lookahead LA{Pf != nullptr ? Pf->lookahead(BK::Width).Far : 0, 0};
+    auto Inspect = [&](std::int64_t J, std::int64_t) {
+      inspectFlushVector<BK>(G, static_cast<std::int32_t>(J));
+    };
     if (Pf != nullptr)
-      for (std::int32_t P = 0; P < Ahead && P < Count; P += BK::Width)
-        inspectFlushVector<BK>(G, P);
+      LA.warm(0, Count, BK::Width, Inspect, NoInspect);
     for (std::int32_t I = 0; I < Count; I += BK::Width) {
-      if (Pf != nullptr && I + Ahead < Count)
-        inspectFlushVector<BK>(G, I + Ahead);
+      if (Pf != nullptr)
+        LA.ahead(I, Count, Inspect, NoInspect);
       int Valid = Count - I < BK::Width ? Count - I : BK::Width;
       VMask<BK> Act = maskFirstN<BK>(Valid);
       VInt<BK> Src = maskedLoad<BK>(SrcBuf.data() + I, Act);
@@ -157,20 +159,35 @@ void npForEachEdge(const VT &G, simd::VInt<BK> Node, simd::VMask<BK> Act,
 
   // Warp/block-level scheduler: full vector over one heavy node at a time.
   // With a plan armed, the contiguous sweep carries its own two-distance
-  // inspect stage: destination lines (and edge-prop lines) at +Dist
-  // vectors, destination-indexed property peeks at +Dist/2 (where the
-  // destination ids themselves are already cache-warm).
+  // inspect stage (no prologue): destination lines (and edge-prop lines) at
+  // the far distance, destination-indexed property peeks at the near one
+  // (where the destination ids themselves are already cache-warm).
   const PrefetchPlan *Pf = Scratch.prefetchPlan();
   PrefetchCounters *PfC = Scratch.prefetchCounters();
-  const EdgeId PfFar =
-      Pf != nullptr
-          ? static_cast<EdgeId>(Pf->Dist > 0 ? Pf->Dist : 0) * BK::Width
-          : 0;
-  const EdgeId PfNear =
-      Pf != nullptr
-          ? static_cast<EdgeId>(Pf->Dist > 0 ? (Pf->Dist + 1) / 2 : 0) *
-                BK::Width
-          : 0;
+  const Lookahead LA = Pf != nullptr ? Pf->lookahead(BK::Width) : Lookahead{};
+  auto InspectDst = [&](std::int64_t E, std::int64_t) {
+    using namespace prefetchdetail;
+    pfLine<BK>(G.edgeDst() + E, *PfC);
+    if (Pf->wantProps())
+      for (int P = 0; P < Pf->NumProps; ++P)
+        if (Pf->Props[P].Kind == PrefetchIndexKind::Edge)
+          pfLine<BK>(static_cast<const char *>(Pf->Props[P].Base) +
+                         E * Pf->Props[P].ElemSize,
+                     *PfC);
+  };
+  auto InspectDstProps = [&](std::int64_t E, std::int64_t EEnd) {
+    using namespace prefetchdetail;
+    if (!Pf->wantProps())
+      return;
+    int Peek = static_cast<int>(EEnd - E < BK::Width ? EEnd - E : BK::Width);
+    for (int P = 0; P < Pf->NumProps; ++P)
+      if (Pf->Props[P].Kind == PrefetchIndexKind::Dst)
+        for (int J = 0; J < Peek; ++J)
+          pfLine<BK>(static_cast<const char *>(Pf->Props[P].Base) +
+                         static_cast<std::int64_t>(G.edgeDst()[E + J]) *
+                             Pf->Props[P].ElemSize,
+                     *PfC);
+  };
   if (std::uint64_t HeavyBits = maskBits(Heavy)) {
     const auto NodeA = spill(Node), RowA = spill(Row), EndA = spill(End);
     while (HeavyBits) {
@@ -182,32 +199,8 @@ void npForEachEdge(const VT &G, simd::VInt<BK> Node, simd::VMask<BK> Act,
       VInt<BK> SrcV = splat<BK>(N);
       VInt<BK> Lane = programIndex<BK>();
       for (EdgeId E = EBegin; E < EEnd; E += BK::Width) {
-        if (Pf != nullptr) {
-          using namespace prefetchdetail;
-          if (E + PfFar < EEnd) {
-            pfLine<BK>(G.edgeDst() + E + PfFar, *PfC);
-            if (Pf->wantProps())
-              for (int P = 0; P < Pf->NumProps; ++P)
-                if (Pf->Props[P].Kind == PrefetchIndexKind::Edge)
-                  pfLine<BK>(static_cast<const char *>(Pf->Props[P].Base) +
-                                 static_cast<std::int64_t>(E + PfFar) *
-                                     Pf->Props[P].ElemSize,
-                             *PfC);
-          }
-          if (Pf->wantProps() && E + PfNear < EEnd) {
-            int Peek = static_cast<int>(EEnd - (E + PfNear) < BK::Width
-                                            ? EEnd - (E + PfNear)
-                                            : BK::Width);
-            for (int P = 0; P < Pf->NumProps; ++P)
-              if (Pf->Props[P].Kind == PrefetchIndexKind::Dst)
-                for (int J = 0; J < Peek; ++J)
-                  pfLine<BK>(static_cast<const char *>(Pf->Props[P].Base) +
-                                 static_cast<std::int64_t>(
-                                     G.edgeDst()[E + PfNear + J]) *
-                                     Pf->Props[P].ElemSize,
-                             *PfC);
-          }
-        }
+        if (Pf != nullptr)
+          LA.ahead(E, EEnd, InspectDst, InspectDstProps);
         int Valid = EEnd - E < BK::Width ? EEnd - E : BK::Width;
         VMask<BK> EAct = maskFirstN<BK>(Valid);
         VInt<BK> EIdx = splat<BK>(E) + Lane;
@@ -221,12 +214,9 @@ void npForEachEdge(const VT &G, simd::VInt<BK> Node, simd::VMask<BK> Act,
 
   VMask<BK> Light = andNot(Act, Heavy);
 
-  if constexpr (ViewSellTraits<VT>::SellSlices) {
-    if (Slot >= 0 && Slot % BK::Width == 0 &&
-        G.chunkWidth() == static_cast<std::int32_t>(BK::Width)) {
-      sellSweepChunk<BK>(G, Node, Light, Slot, Fn);
-      return;
-    }
+  if (sellChunkAligned<BK>(G, Slot)) {
+    plainForEachEdge<BK>(G, Node, Light, Fn, Slot);
+    return;
   }
 
   // Fine-grained scheduler: compress low-degree (src, edge) pairs.

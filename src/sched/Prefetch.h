@@ -6,7 +6,7 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// The latency-hiding prefetch pipeline behind the staged vertex loops: the
+/// The latency-hiding prefetch pipeline that stages the vertex loops: the
 /// paper's gathers convert control divergence into data divergence, but on
 /// rmat/road-scale graphs the resulting access stream is exactly what the
 /// hardware prefetcher cannot predict. A cheap inspect stage therefore runs
@@ -22,6 +22,12 @@
 ///    Under rows+props it also peeks the first neighbor ids and prefetches
 ///    destination-indexed property lines, and covers edge-indexed property
 ///    lines (weights) which share the CSR edge-index shape.
+///
+/// Staging is a property of the one loop per shape, not a second loop: the
+/// vertex loops, the NP staging-buffer flush and heavy-node sweep, and the
+/// flat edge sweep all run their stages through one Lookahead, whose
+/// distances PrefetchPlan::lookahead computes once. An inactive plan turns
+/// every stage off.
 ///
 /// The inspect stages demand-read ONLY immutable topology (row_ptr, edge
 /// destinations, iteration order, SELL slice metadata) — never the mutable
@@ -45,7 +51,7 @@ namespace egacs {
 
 /// What the staged loops prefetch ahead of the execute stage.
 enum class PrefetchPolicy {
-  None,      ///< no staging: the exact pre-pipeline loops
+  None,      ///< no staging: the plain loops
   Rows,      ///< row_ptr entries + neighbor-slot lines
   RowsProps, ///< Rows plus registered property-array lines
 };
@@ -74,6 +80,43 @@ inline constexpr int MaxEdgeLinesPerLane = 4;
 inline constexpr int MaxDstPeeksPerLane = 8;
 } // namespace prefetchdetail
 
+/// The inspect-ahead pipeline every staged loop shares. While the execute
+/// stage runs the batch at position I, the far stage inspects the batch at
+/// I + Far and the near stage the one at I + Near (positions and distances
+/// in elements of the loop's index space). Stages are called as
+/// Fn(Pos, End): inspect the batch starting at Pos of a sequence ending at
+/// End.
+struct Lookahead {
+  std::int64_t Far = 0;
+  std::int64_t Near = 0;
+
+  /// Prologue: inspects the \p Step-wide batches of [Begin, End) that the
+  /// steady state skips, far ones first.
+  template <typename FarFnT, typename NearFnT>
+  void warm(std::int64_t Begin, std::int64_t End, std::int64_t Step,
+            FarFnT &&FarFn, NearFnT &&NearFn) const {
+    for (std::int64_t P = Begin; P < Begin + Far && P < End; P += Step)
+      FarFn(P, End);
+    for (std::int64_t P = Begin; P < Begin + Near && P < End; P += Step)
+      NearFn(P, End);
+  }
+
+  /// Steady state: inspects ahead of the batch at \p I about to execute.
+  template <typename FarFnT, typename NearFnT>
+  void ahead(std::int64_t I, std::int64_t End, FarFnT &&FarFn,
+             NearFnT &&NearFn) const {
+    if (I + Far < End)
+      FarFn(I + Far, End);
+    if (I + Near < End)
+      NearFn(I + Near, End);
+  }
+};
+
+/// A Lookahead stage that inspects nothing.
+inline constexpr struct NoInspectT {
+  void operator()(std::int64_t, std::int64_t) const {}
+} NoInspect{};
+
 /// One kernel-run prefetch plan: the policy/distance pair from KernelConfig
 /// plus the hot property arrays the kernel's edge functor will touch.
 struct PrefetchPlan {
@@ -100,7 +143,17 @@ struct PrefetchPlan {
 
   bool active() const { return Policy != PrefetchPolicy::None; }
   bool wantProps() const { return Policy == PrefetchPolicy::RowsProps; }
+
+  /// The stage distances for \p Step-wide batches: the row (far) stage
+  /// runs Dist batches ahead, the edge (near) stage ceil(Dist/2).
+  Lookahead lookahead(std::int64_t Step) const {
+    std::int64_t Batches = Dist > 0 ? Dist : 0;
+    return {Batches * Step, (Batches + 1) / 2 * Step};
+  }
 };
+
+/// The inactive plan: loops run unstaged.
+inline constexpr PrefetchPlan NoPrefetch{};
 
 /// Per-task prefetch statistics, batched in plain fields next to the
 /// duplicate-line state the inspect loops already touch; flushed on
@@ -210,8 +263,7 @@ void prefetchEdgeStage(const VT &G, const NodeId *Order, std::int64_t Slot,
                        PrefetchCounters &C) {
   using namespace prefetchdetail;
   if constexpr (ViewSellTraits<VT>::SellSlices) {
-    if (Order == viewOrder(G) && Slot % BK::Width == 0 &&
-        G.chunkWidth() == static_cast<std::int32_t>(BK::Width)) {
+    if (Order == viewOrder(G) && sellChunkAligned<BK>(G, Slot)) {
       // SELL shape: the whole chunk's neighbors are one contiguous slice.
       std::int64_t Chunk = Slot / BK::Width;
       std::int64_t Base = G.sliceOffsets()[Chunk];

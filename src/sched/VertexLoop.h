@@ -6,17 +6,18 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// Helpers that map outer (vertex) loops onto SIMD vectors with tail
-/// masking, and the baseline per-lane inner (edge) loop. This is the
-/// unoptimized schedule the paper starts from (Listing 3): one vertex per
-/// lane, each lane walking its own edge list, with utilization degrading as
-/// degrees diverge (Table IV).
+/// The node-order vertex loop with tail masking, and the baseline per-lane
+/// inner (edge) loop. This is the unoptimized schedule the paper starts
+/// from (Listing 3): one vertex per lane, each lane walking its own edge
+/// list, with utilization degrading as degrees diverge (Table IV).
 ///
 /// All loops are templated on a GraphView (graph/GraphView.h): with CsrView
 /// (or raw Csr) they compile to exactly the pre-view code; reordered views
 /// supply the node permutation through slotNodes, and SELL-C-sigma views
 /// replace the per-lane neighbor gathers of slot-aligned vectors with
-/// unit-stride chunk sweeps (sellSweepChunk).
+/// unit-stride chunk sweeps. Each loop exists once: prefetch staging
+/// (sched/Prefetch.h) is a property of the loop that an inactive plan turns
+/// off, and push and pull share one edge walk.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -32,19 +33,25 @@
 
 namespace egacs {
 
-/// Calls Body(VInt Values, VMask Active) for each Width-sized slice of
-/// Items[Begin, End); the final slice is tail-masked.
-template <typename BK, typename BodyT>
-void forEachVector(const NodeId *Items, std::int64_t Begin, std::int64_t End,
-                   BodyT &&Body) {
-  for (std::int64_t I = Begin; I < End; I += BK::Width) {
-    int Valid = static_cast<int>(End - I < BK::Width ? End - I : BK::Width);
-    simd::VMask<BK> Act = simd::maskFirstN<BK>(Valid);
-    simd::VInt<BK> Values = Valid == BK::Width
-                                ? simd::load<BK>(Items + I)
-                                : simd::maskedLoad<BK>(Items + I, Act);
-    Body(Values, Act);
+/// The trace shape of a staged loop: \p Warm (the inspect prologue) runs
+/// inside a PrefetchInspect span whose detail is the prefetches it issued,
+/// then \p Execute inside a PrefetchExecute span over \p Items items. A
+/// null \p TT (untraced runs, inactive plans) records nothing.
+template <typename WarmT, typename ExecuteT>
+void stagedSpans([[maybe_unused]] trace::TaskTrace *TT,
+                 [[maybe_unused]] const PrefetchCounters &C,
+                 [[maybe_unused]] std::int64_t Items, WarmT &&Warm,
+                 ExecuteT &&Execute) {
+  {
+    EGACS_TRACED(const std::uint64_t Issued0 = C.Issued;
+                 trace::ScopedSpan Inspect(TT, trace::SpanKind::PrefetchInspect);)
+    Warm();
+    EGACS_TRACED(
+        Inspect.setDetail(static_cast<std::int64_t>(C.Issued - Issued0));)
   }
+  EGACS_TRACED(
+      trace::ScopedSpan Span(TT, trace::SpanKind::PrefetchExecute, Items);)
+  Execute();
 }
 
 /// Calls Body(VInt NodeIds, VMask Active, int64 Slot) for each Width-sized
@@ -52,183 +59,104 @@ void forEachVector(const NodeId *Items, std::int64_t Begin, std::int64_t End,
 /// over all nodes in the layout's order. Slot is the first slot index of
 /// the vector; for SELL views an unaligned prefix is peeled so interior
 /// vectors start on Width boundaries and line up with the storage chunks.
+///
+/// An active plan \p PF stages the loop: the row inspect stage runs PF's
+/// far distance ahead of execution and the edge stage its near distance,
+/// each in the shape the execute stage will use (the contiguous slice on
+/// slot-aligned SELL vectors); the peel vector is inspected just before it
+/// runs. \p C batches the prefetch statistics and \p TT receives the
+/// stage spans. An inactive plan is the plain loop.
 template <typename BK, typename VT, typename BodyT>
 void forEachNodeVector(const VT &G, std::int64_t Begin, std::int64_t End,
-                       BodyT &&Body) {
-  std::int64_t I = Begin;
-  if constexpr (ViewSellTraits<VT>::SellSlices) {
-    std::int64_t Aligned =
-        ((Begin + BK::Width - 1) / BK::Width) * static_cast<std::int64_t>(BK::Width);
-    std::int64_t PeelEnd = Aligned < End ? Aligned : End;
-    if (I < PeelEnd) {
-      simd::VMask<BK> Act = simd::maskFirstN<BK>(static_cast<int>(PeelEnd - I));
-      Body(slotNodes<BK>(G, I, Act), Act, I);
-      I = PeelEnd;
-    }
-  }
-  for (; I < End; I += BK::Width) {
-    int Valid = static_cast<int>(End - I < BK::Width ? End - I : BK::Width);
-    simd::VMask<BK> Act = simd::maskFirstN<BK>(Valid);
-    Body(slotNodes<BK>(G, I, Act), Act, I);
-  }
-}
-
-/// Legacy id-range iteration (identity order, no view): calls
-/// Body(VInt NodeIds, VMask Active).
-template <typename BK, typename BodyT>
-void forEachNodeVector(std::int64_t Begin, std::int64_t End, BodyT &&Body) {
-  simd::VInt<BK> Lane = simd::programIndex<BK>();
-  for (std::int64_t I = Begin; I < End; I += BK::Width) {
-    int Valid = static_cast<int>(End - I < BK::Width ? End - I : BK::Width);
-    simd::VMask<BK> Act = simd::maskFirstN<BK>(Valid);
-    simd::VInt<BK> Ids =
-        simd::splat<BK>(static_cast<std::int32_t>(I)) + Lane;
-    Body(Ids, Act);
-  }
-}
-
-/// Staged variant of forEachVector for worklist-order items over view \p G:
-/// while the execute stage runs the vector at I, the row inspect stage
-/// prefetches row_ptr (+ node-prop) lines PF.Dist vectors ahead and the
-/// edge inspect stage prefetches neighbor-slot (+ dst/edge-prop) lines
-/// PF.Dist/2 vectors ahead, with a prologue warming the vectors the steady
-/// state skips. PF.Dist <= 0 degenerates to inspect-just-before-execute.
-template <typename BK, typename VT, typename BodyT>
-void forEachVectorStaged(const VT &G, const NodeId *Items, std::int64_t Begin,
-                         std::int64_t End, const PrefetchPlan &PF,
-                         PrefetchCounters &C, BodyT &&Body,
-                         [[maybe_unused]] trace::TaskTrace *TT = nullptr) {
+                       const PrefetchPlan &PF, PrefetchCounters &C,
+                       BodyT &&Body, trace::TaskTrace *TT = nullptr) {
   const std::int64_t W = BK::Width;
-  const std::int64_t Far =
-      static_cast<std::int64_t>(PF.Dist > 0 ? PF.Dist : 0) * W;
-  const std::int64_t Near =
-      static_cast<std::int64_t>(PF.Dist > 0 ? (PF.Dist + 1) / 2 : 0) * W;
-  {
-    EGACS_TRACED(const std::uint64_t Issued0 = C.Issued;
-                 trace::ScopedSpan Inspect(TT, trace::SpanKind::PrefetchInspect);)
-    for (std::int64_t P = Begin; P < Begin + Far && P < End; P += W)
-      prefetchRowStage<BK>(G, Items, P, End, PF, C);
-    for (std::int64_t P = Begin; P < Begin + Near && P < End; P += W)
-      prefetchEdgeStage<BK>(G, Items, P, End, PF, C);
-    EGACS_TRACED(
-        Inspect.setDetail(static_cast<std::int64_t>(C.Issued - Issued0));)
-  }
-  EGACS_TRACED(trace::ScopedSpan Execute(TT, trace::SpanKind::PrefetchExecute,
-                                         End - Begin);)
-  for (std::int64_t I = Begin; I < End; I += W) {
-    if (I + Far < End)
-      prefetchRowStage<BK>(G, Items, I + Far, End, PF, C);
-    if (I + Near < End)
-      prefetchEdgeStage<BK>(G, Items, I + Near, End, PF, C);
-    int Valid = static_cast<int>(End - I < W ? End - I : W);
-    simd::VMask<BK> Act = simd::maskFirstN<BK>(Valid);
-    simd::VInt<BK> Values = Valid == BK::Width
-                                ? simd::load<BK>(Items + I)
-                                : simd::maskedLoad<BK>(Items + I, Act);
-    Body(Values, Act);
-  }
-}
-
-/// Staged variant of the view forEachNodeVector (topology order): same
-/// two-stage pipeline as forEachVectorStaged, driven by the layout's
-/// iteration order. Slot-aligned SELL vectors get the contiguous-slice
-/// prefetch shape; the unaligned peel vector is inspected immediately,
-/// mirroring its gather-surface execution.
-template <typename BK, typename VT, typename BodyT>
-void forEachNodeVectorStaged(const VT &G, std::int64_t Begin,
-                             std::int64_t End, const PrefetchPlan &PF,
-                             PrefetchCounters &C, BodyT &&Body,
-                             [[maybe_unused]] trace::TaskTrace *TT = nullptr) {
-  const std::int64_t W = BK::Width;
+  const bool Staged = PF.active();
   const NodeId *Order = viewOrder(G);
+  auto RowStage = [&](std::int64_t P, std::int64_t E) {
+    prefetchRowStage<BK>(G, Order, P, E, PF, C);
+  };
+  auto EdgeStage = [&](std::int64_t P, std::int64_t E) {
+    prefetchEdgeStage<BK>(G, Order, P, E, PF, C);
+  };
+  auto Run = [&](std::int64_t I, std::int64_t E) {
+    simd::VMask<BK> Act =
+        simd::maskFirstN<BK>(static_cast<int>(E - I < W ? E - I : W));
+    Body(slotNodes<BK>(G, I, Act), Act, I);
+  };
   std::int64_t I = Begin;
   if constexpr (ViewSellTraits<VT>::SellSlices) {
-    std::int64_t Aligned = ((Begin + W - 1) / W) * W;
+    std::int64_t Aligned = (Begin + W - 1) / W * W;
     std::int64_t PeelEnd = Aligned < End ? Aligned : End;
     if (I < PeelEnd) {
-      prefetchRowStage<BK>(G, Order, I, PeelEnd, PF, C);
-      prefetchEdgeStage<BK>(G, Order, I, PeelEnd, PF, C);
-      simd::VMask<BK> Act = simd::maskFirstN<BK>(static_cast<int>(PeelEnd - I));
-      Body(slotNodes<BK>(G, I, Act), Act, I);
+      if (Staged) {
+        RowStage(I, PeelEnd);
+        EdgeStage(I, PeelEnd);
+      }
+      Run(I, PeelEnd);
       I = PeelEnd;
     }
   }
-  const std::int64_t Far =
-      static_cast<std::int64_t>(PF.Dist > 0 ? PF.Dist : 0) * W;
-  const std::int64_t Near =
-      static_cast<std::int64_t>(PF.Dist > 0 ? (PF.Dist + 1) / 2 : 0) * W;
-  {
-    EGACS_TRACED(const std::uint64_t Issued0 = C.Issued;
-                 trace::ScopedSpan Inspect(TT, trace::SpanKind::PrefetchInspect);)
-    for (std::int64_t P = I; P < I + Far && P < End; P += W)
-      prefetchRowStage<BK>(G, Order, P, End, PF, C);
-    for (std::int64_t P = I; P < I + Near && P < End; P += W)
-      prefetchEdgeStage<BK>(G, Order, P, End, PF, C);
-    EGACS_TRACED(
-        Inspect.setDetail(static_cast<std::int64_t>(C.Issued - Issued0));)
-  }
-  EGACS_TRACED(trace::ScopedSpan Execute(TT, trace::SpanKind::PrefetchExecute,
-                                         End - I);)
-  for (; I < End; I += W) {
-    if (I + Far < End)
-      prefetchRowStage<BK>(G, Order, I + Far, End, PF, C);
-    if (I + Near < End)
-      prefetchEdgeStage<BK>(G, Order, I + Near, End, PF, C);
-    int Valid = static_cast<int>(End - I < W ? End - I : W);
-    simd::VMask<BK> Act = simd::maskFirstN<BK>(Valid);
-    Body(slotNodes<BK>(G, I, Act), Act, I);
-  }
+  const Lookahead LA = PF.lookahead(W);
+  stagedSpans(
+      Staged ? TT : nullptr, C, End - I,
+      [&] {
+        if (Staged)
+          LA.warm(I, End, W, RowStage, EdgeStage);
+      },
+      [&] {
+        for (; I < End; I += W) {
+          if (Staged)
+            LA.ahead(I, End, RowStage, EdgeStage);
+          Run(I, End);
+        }
+      });
 }
 
-/// Full-vector sweep of the SELL chunk whose first slot is the Width-aligned
-/// \p Slot: neighbor j of all Width rows is one unit-stride vector load from
-/// the column-major slice, and the original CSR edge index rides alongside
-/// in a second unit-stride load. Only lanes in \p Act participate.
-/// Fn(Src, Dst, EdgeIdx, Active).
-template <typename BK, typename VT, typename EdgeFnT>
-void sellSweepChunk(const VT &G, simd::VInt<BK> Node, simd::VMask<BK> Act,
-                    std::int64_t Slot, EdgeFnT &&Fn) {
-  using namespace simd;
-  static_assert(ViewSellTraits<VT>::SellSlices,
-                "sellSweepChunk requires a SELL view");
-  VInt<BK> Deg = maskedLoad<BK>(G.slotDegrees() + Slot, Act);
-  std::int64_t Chunk = Slot / BK::Width;
-  const std::int64_t Base = G.sliceOffsets()[Chunk];
-  const NodeId *DstBase = G.sellDst() + Base;
-  const EdgeId *EdgeBase = G.sellEdge() + Base;
-  VInt<BK> J = splat<BK>(0);
-  VMask<BK> Live = Act & (J < Deg);
-  std::int64_t Off = 0;
-  while (any(Live)) {
-    recordLaneUtilization<BK>(Live);
-    recordNeighborContig<BK>(Live);
-    VInt<BK> Dst = maskedLoad<BK>(DstBase + Off, Live);
-    VInt<BK> EIdx = maskedLoad<BK>(EdgeBase + Off, Live);
-    Fn(Node, Dst, EIdx, Live);
-    J = J + splat<BK>(1);
-    Off += BK::Width;
-    Live = Live & (J < Deg);
-  }
-}
-
-/// Baseline inner loop: each lane walks the edges of its own node, so the
-/// vector stays live until the highest-degree lane finishes. Calls
-/// Fn(Src, Dst, EdgeIdx, Active) once per edge-vector step.
+/// The per-lane edge walk of one node vector, shared by push and pull:
+/// each lane walks its own node's edge list, calling
+/// Fn(Node, Neighbor, EdgeIdx, Live) once per edge-vector step. Fn returns
+/// the lanes that keep walking: a push visit keeps every live lane (see
+/// plainForEachEdge), so the vector stays live until the highest-degree
+/// lane finishes; a pull visit over the *transposed* view retires a lane
+/// that found what it wanted (an in-frontier parent in pull-BFS) and the
+/// rest of its row is never touched, which is the entire point of the pull
+/// direction on dense frontiers. EdgeIdx indexes \p G's arrays.
 ///
 /// When \p G is a SELL view and \p Slot is the Width-aligned slot of this
-/// node vector (chunk height == Width), the per-lane gather walk is replaced
-/// by the unit-stride chunk sweep. Worklist-order vectors pass NoSlot and
-/// fall back to the CSR gather surface.
-///
-/// This is what the Nested Parallelism scheduler replaces.
+/// node vector (chunk height == Width), the per-lane gathers become a
+/// full-vector sweep of the column-major chunk: neighbor j of all Width
+/// rows is one unit-stride load, with the original CSR edge index riding
+/// alongside in a second one. Worklist-order vectors pass NoSlot and take
+/// the CSR gather surface. When \p EarlyExits is non-null it accumulates
+/// the lanes Fn retired that still had edges left — the work the pull
+/// direction actually skipped (Stat counter PullEarlyExits).
 template <typename BK, typename VT, typename EdgeFnT>
-void plainForEachEdge(const VT &G, simd::VInt<BK> Node, simd::VMask<BK> Act,
-                      EdgeFnT &&Fn, std::int64_t Slot = NoSlot) {
+void walkEdges(const VT &G, simd::VInt<BK> Node, simd::VMask<BK> Act,
+               EdgeFnT &&Fn, std::int64_t Slot = NoSlot,
+               std::int64_t *EarlyExits = nullptr) {
   using namespace simd;
   if constexpr (ViewSellTraits<VT>::SellSlices) {
-    if (Slot >= 0 && Slot % BK::Width == 0 &&
-        G.chunkWidth() == static_cast<std::int32_t>(BK::Width)) {
-      sellSweepChunk<BK>(G, Node, Act, Slot, Fn);
+    if (sellChunkAligned<BK>(G, Slot)) {
+      VInt<BK> Deg = maskedLoad<BK>(G.slotDegrees() + Slot, Act);
+      const std::int64_t Base = G.sliceOffsets()[Slot / BK::Width];
+      const NodeId *DstBase = G.sellDst() + Base;
+      const EdgeId *EdgeBase = G.sellEdge() + Base;
+      VInt<BK> J = splat<BK>(0);
+      VMask<BK> Live = Act & (J < Deg);
+      std::int64_t Off = 0;
+      while (any(Live)) {
+        recordLaneUtilization<BK>(Live);
+        recordNeighborContig<BK>(Live);
+        VInt<BK> Dst = maskedLoad<BK>(DstBase + Off, Live);
+        VInt<BK> EIdx = maskedLoad<BK>(EdgeBase + Off, Live);
+        VMask<BK> Keep = Fn(Node, Dst, EIdx, Live);
+        J = J + splat<BK>(1);
+        Off += BK::Width;
+        if (EarlyExits)
+          *EarlyExits += popcount((Live & ~Keep) & (J < Deg));
+        Live = Keep & (J < Deg);
+      }
       return;
     }
   }
@@ -239,69 +167,28 @@ void plainForEachEdge(const VT &G, simd::VInt<BK> Node, simd::VMask<BK> Act,
     recordLaneUtilization<BK>(Live);
     recordNeighborGather<BK>(Live);
     VInt<BK> Dst = gatherNeighbors<BK>(G, Row, Live);
-    Fn(Node, Dst, Row, Live);
-    Row = Row + splat<BK>(1);
-    Live = Live & (Row < End);
-  }
-}
-
-/// Pull-direction inner loop: \p GT is the view over the *transposed*
-/// graph, so each lane owns one destination node and walks its in-neighbor
-/// list. Unlike plainForEachEdge, \p Fn returns the mask of lanes that must
-/// keep scanning — a lane that found what it wanted (e.g. an in-frontier
-/// parent in pull-BFS) retires immediately and the rest of its row is never
-/// touched, which is the entire point of the pull direction on dense
-/// frontiers. Calls Fn(Dst, Src, EdgeIdx, Active); EdgeIdx indexes the
-/// transposed graph's arrays. A SELL transposed view with a Width-aligned
-/// \p Slot gets the unit-stride chunk-sweep shape (with the same early
-/// exit); worklist-order callers pass NoSlot. When \p EarlyExits is
-/// non-null it accumulates the lanes Fn retired that still had in-edges
-/// left — the work the pull direction actually skipped (Stat counter
-/// PullEarlyExits).
-template <typename BK, typename VT, typename EdgeFnT>
-void pullForEachEdge(const VT &GT, simd::VInt<BK> Node, simd::VMask<BK> Act,
-                     EdgeFnT &&Fn, std::int64_t Slot = NoSlot,
-                     std::int64_t *EarlyExits = nullptr) {
-  using namespace simd;
-  if constexpr (ViewSellTraits<VT>::SellSlices) {
-    if (Slot >= 0 && Slot % BK::Width == 0 &&
-        GT.chunkWidth() == static_cast<std::int32_t>(BK::Width)) {
-      VInt<BK> Deg = maskedLoad<BK>(GT.slotDegrees() + Slot, Act);
-      std::int64_t Chunk = Slot / BK::Width;
-      const std::int64_t Base = GT.sliceOffsets()[Chunk];
-      const NodeId *SrcBase = GT.sellDst() + Base;
-      const EdgeId *EdgeBase = GT.sellEdge() + Base;
-      VInt<BK> J = splat<BK>(0);
-      VMask<BK> Live = Act & (J < Deg);
-      std::int64_t Off = 0;
-      while (any(Live)) {
-        recordLaneUtilization<BK>(Live);
-        recordNeighborContig<BK>(Live);
-        VInt<BK> Src = maskedLoad<BK>(SrcBase + Off, Live);
-        VInt<BK> EIdx = maskedLoad<BK>(EdgeBase + Off, Live);
-        VMask<BK> Keep = Fn(Node, Src, EIdx, Live);
-        J = J + splat<BK>(1);
-        Off += BK::Width;
-        if (EarlyExits)
-          *EarlyExits += popcount((Live & ~Keep) & (J < Deg));
-        Live = Keep & (J < Deg);
-      }
-      return;
-    }
-  }
-  VInt<BK> Row = gather<BK>(GT.rowStart(), Node, Act);
-  VInt<BK> End = gather<BK>(GT.rowStart() + 1, Node, Act);
-  VMask<BK> Live = Act & (Row < End);
-  while (any(Live)) {
-    recordLaneUtilization<BK>(Live);
-    recordNeighborGather<BK>(Live);
-    VInt<BK> Src = gatherNeighbors<BK>(GT, Row, Live);
-    VMask<BK> Keep = Fn(Node, Src, Row, Live);
+    VMask<BK> Keep = Fn(Node, Dst, Row, Live);
     Row = Row + splat<BK>(1);
     if (EarlyExits)
       *EarlyExits += popcount((Live & ~Keep) & (Row < End));
     Live = Keep & (Row < End);
   }
+}
+
+/// Baseline push inner loop: walkEdges with every live lane kept. Calls
+/// Fn(Src, Dst, EdgeIdx, Active) once per edge-vector step. This is what
+/// the Nested Parallelism scheduler replaces.
+template <typename BK, typename VT, typename EdgeFnT>
+void plainForEachEdge(const VT &G, simd::VInt<BK> Node, simd::VMask<BK> Act,
+                      EdgeFnT &&Fn, std::int64_t Slot = NoSlot) {
+  walkEdges<BK>(
+      G, Node, Act,
+      [&](simd::VInt<BK> Src, simd::VInt<BK> Dst, simd::VInt<BK> EIdx,
+          simd::VMask<BK> Live) {
+        Fn(Src, Dst, EIdx, Live);
+        return Live;
+      },
+      Slot);
 }
 
 } // namespace egacs

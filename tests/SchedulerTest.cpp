@@ -280,8 +280,9 @@ TEST(LoopSchedulerSell, SizedFromSlotCountRunsFullSweep) {
                         SlotHits[static_cast<std::size_t>(S)].fetch_add(1);
                     });
     Bar.wait(); // orders the episode reset before the next loop
+    PrefetchCounters C;
     forEachNodeSlice<BK>(
-        V, Sched, TaskIdx, TaskCount,
+        V, Sched, TaskIdx, TaskCount, NoPrefetch, C,
         [&](simd::VInt<BK> Node, simd::VMask<BK> Act, std::int64_t) {
           const auto Ids = simd::spill(Node);
           std::uint64_t Bits = simd::maskBits(Act);
@@ -324,10 +325,15 @@ TEST(LoopSchedulerSerial, NoDeadlockUnderSerialTasks) {
 #ifdef EGACS_STATS
 /// Forces a steal deterministically: task 0 stalls inside its first chunk
 /// while task 1 drains its own block and then steals the rest of task 0's.
+/// A handshake makes the steal independent of thread timing: task 1 holds
+/// its first chunk until task 0 is inside its stall (so task 0's deque is
+/// seeded), and task 0 stalls until task 1 has run a chunk of task 0's
+/// block. Both waits are bounded, so a broken handshake fails, not hangs.
 TEST(LoopSchedulerStealing, StallingOwnerGetsRobbed) {
   constexpr int NumTasks = 2;
   constexpr std::int64_t Size = 1024;
   constexpr std::int64_t Chunk = 64;
+  constexpr std::int64_t OwnerBlockEnd = Size / NumTasks;
   LoopScheduler Sched(NumTasks, Chunk, Size);
   ThreadPoolTaskSystem Pool(NumTasks);
 
@@ -335,20 +341,39 @@ TEST(LoopSchedulerStealing, StallingOwnerGetsRobbed) {
   std::vector<std::atomic<int>> Hits(Size);
   for (auto &H : Hits)
     H.store(0);
-  std::atomic<bool> Stalled{false};
+  std::atomic<bool> OwnerStalled{false}, Robbed{false}, TimedOut{false};
+  auto WaitFor = [&](const std::atomic<bool> &Flag) {
+    auto Deadline = std::chrono::steady_clock::now() + std::chrono::seconds(30);
+    while (!Flag.load()) {
+      if (std::chrono::steady_clock::now() > Deadline) {
+        TimedOut.store(true);
+        return;
+      }
+      std::this_thread::yield();
+    }
+  };
 
   Pool.launch(NumTasks, [&](int TaskIdx, int TaskCount) {
+    bool First = true;
     Sched.forRanges(Size, TaskIdx, TaskCount,
                     [&](std::int64_t B, std::int64_t E) {
-                      if (TaskIdx == 0 && !Stalled.exchange(true))
-                        // First chunk of the slow task: a hub-vertex stand-in.
-                        std::this_thread::sleep_for(
-                            std::chrono::milliseconds(200));
+                      if (TaskIdx == 0 && First) {
+                        // A hub-vertex stand-in: stall until robbed.
+                        OwnerStalled.store(true);
+                        WaitFor(Robbed);
+                      } else if (TaskIdx == 1) {
+                        if (First)
+                          WaitFor(OwnerStalled);
+                        if (B < OwnerBlockEnd)
+                          Robbed.store(true);
+                      }
+                      First = false;
                       for (std::int64_t I = B; I < E; ++I)
                         Hits[static_cast<std::size_t>(I)].fetch_add(1);
                     });
   });
 
+  EXPECT_FALSE(TimedOut.load()) << "the steal handshake did not complete";
   for (std::int64_t I = 0; I < Size; ++I)
     ASSERT_EQ(Hits[static_cast<std::size_t>(I)].load(), 1) << "index " << I;
   EXPECT_GT(statGet(Stat::ChunksStolen), StolenBefore)

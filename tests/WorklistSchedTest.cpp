@@ -9,6 +9,7 @@
 //
 //===----------------------------------------------------------------------===//
 
+#include "engine/VertexMap.h"
 #include "graph/Generators.h"
 #include "sched/NestedParallelism.h"
 #include "sched/VertexLoop.h"
@@ -165,29 +166,38 @@ TEST(WorklistPair, SwapExchangesRoles) {
 // Vertex loops.
 //===----------------------------------------------------------------------===//
 
-TEST(VertexLoops, ForEachVectorCoversWithTailMask) {
+TEST(VertexLoops, WorklistRangeCoversWithTailMask) {
   std::vector<NodeId> Items(37);
   for (std::size_t I = 0; I < Items.size(); ++I)
     Items[I] = static_cast<NodeId>(100 + I);
+  Csr G = uniformRandomGraph(8, /*Degree=*/2, /*Seed=*/1);
+  KernelConfig Cfg;
+  Cfg.Fibers = false;
+  PrefetchCounters C;
+  const std::int64_t N = static_cast<std::int64_t>(Items.size());
   std::vector<NodeId> Seen;
-  forEachVector<BK>(Items.data(), 0, static_cast<std::int64_t>(Items.size()),
-                    [&](VInt<BK> V, VMask<BK> M) {
-                      std::uint64_t Bits = maskBits(M);
-                      for (int L = 0; L < BK::Width; ++L)
-                        if ((Bits >> L) & 1)
-                          Seen.push_back(extract(V, L));
-                    });
+  forEachWorklistRange<BK>(Cfg, CsrView(G), Items.data(), N, 0, N,
+                           /*TaskCount=*/1, NoPrefetch, C,
+                           [&](VInt<BK> V, VMask<BK> M) {
+                             std::uint64_t Bits = maskBits(M);
+                             for (int L = 0; L < BK::Width; ++L)
+                               if ((Bits >> L) & 1)
+                                 Seen.push_back(extract(V, L));
+                           });
   EXPECT_EQ(Seen, Items);
 }
 
 TEST(VertexLoops, ForEachNodeVectorEnumeratesRange) {
+  Csr G = uniformRandomGraph(64, /*Degree=*/2, /*Seed=*/1);
+  PrefetchCounters C;
   std::vector<NodeId> Seen;
-  forEachNodeVector<BK>(5, 42, [&](VInt<BK> V, VMask<BK> M) {
-    std::uint64_t Bits = maskBits(M);
-    for (int L = 0; L < BK::Width; ++L)
-      if ((Bits >> L) & 1)
-        Seen.push_back(extract(V, L));
-  });
+  forEachNodeVector<BK>(CsrView(G), 5, 42, NoPrefetch, C,
+                        [&](VInt<BK> V, VMask<BK> M, std::int64_t) {
+                          std::uint64_t Bits = maskBits(M);
+                          for (int L = 0; L < BK::Width; ++L)
+                            if ((Bits >> L) & 1)
+                              Seen.push_back(extract(V, L));
+                        });
   ASSERT_EQ(Seen.size(), 37u);
   for (std::size_t I = 0; I < Seen.size(); ++I)
     EXPECT_EQ(Seen[I], static_cast<NodeId>(5 + I));
@@ -215,16 +225,19 @@ collectEdges(VisitFnT &&Visit) {
 
 TEST(EdgeSchedulers, NpVisitsExactlyTheSameEdgesAsPlain) {
   Csr G = rmatGraph(8, 8, 55); // skewed: exercises all three NP bins
+  PrefetchCounters C;
   auto Plain = collectEdges([&](auto &&OnEdge) {
-    forEachNodeVector<BK>(0, G.numNodes(), [&](VInt<BK> N, VMask<BK> M) {
-      plainForEachEdge<BK>(G, N, M, OnEdge);
-    });
+    forEachNodeVector<BK>(CsrView(G), 0, G.numNodes(), NoPrefetch, C,
+                          [&](VInt<BK> N, VMask<BK> M, std::int64_t) {
+                            plainForEachEdge<BK>(G, N, M, OnEdge);
+                          });
   });
   auto Np = collectEdges([&](auto &&OnEdge) {
     NpScratch Scratch(512);
-    forEachNodeVector<BK>(0, G.numNodes(), [&](VInt<BK> N, VMask<BK> M) {
-      npForEachEdge<BK>(G, N, M, Scratch, OnEdge);
-    });
+    forEachNodeVector<BK>(CsrView(G), 0, G.numNodes(), NoPrefetch, C,
+                          [&](VInt<BK> N, VMask<BK> M, std::int64_t) {
+                            npForEachEdge<BK>(G, N, M, Scratch, OnEdge);
+                          });
     Scratch.flush<BK>(G, OnEdge);
   });
   EXPECT_EQ(Plain.size(), static_cast<std::size_t>(G.numEdges()));
@@ -241,12 +254,14 @@ TEST(EdgeSchedulers, NpImprovesLaneUtilizationOnSkewedGraphs) {
     setOpCounting(true);
     auto OnEdge = [](VInt<BK>, VInt<BK>, VInt<BK>, VMask<BK>) {};
     NpScratch Scratch(4096);
-    forEachNodeVector<BK>(0, G.numNodes(), [&](VInt<BK> N, VMask<BK> M) {
-      if (UseNp)
-        npForEachEdge<BK>(G, N, M, Scratch, OnEdge);
-      else
-        plainForEachEdge<BK>(G, N, M, OnEdge);
-    });
+    PrefetchCounters C;
+    forEachNodeVector<BK>(CsrView(G), 0, G.numNodes(), NoPrefetch, C,
+                          [&](VInt<BK> N, VMask<BK> M, std::int64_t) {
+                            if (UseNp)
+                              npForEachEdge<BK>(G, N, M, Scratch, OnEdge);
+                            else
+                              plainForEachEdge<BK>(G, N, M, OnEdge);
+                          });
     if (UseNp)
       Scratch.flush<BK>(G, OnEdge);
     setOpCounting(false);

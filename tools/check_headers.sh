@@ -11,12 +11,15 @@ set -u
 CXX="${1:-${CXX:-g++}}"
 ROOT="$(cd "$(dirname "$0")/.." && pwd)"
 FAILED=0
+# A private file per run, so concurrent runs never read each other's errors.
+ERR="$(mktemp)"
+trap 'rm -f "$ERR"' EXIT
 
 for H in $(cd "$ROOT" && find src -name '*.h' | sort); do
   if ! "$CXX" -std=c++20 -fsyntax-only -I "$ROOT/src" \
-      -include "$ROOT/$H" -x c++ /dev/null 2>/tmp/check_headers.err; then
+      -include "$ROOT/$H" -x c++ /dev/null 2>"$ERR"; then
     echo "NOT SELF-SUFFICIENT: $H"
-    sed 's/^/    /' /tmp/check_headers.err | head -5
+    sed 's/^/    /' "$ERR" | head -5
     FAILED=1
   fi
 done
