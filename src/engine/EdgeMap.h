@@ -168,7 +168,7 @@ void edgeMapPull(const VT &GT, simd::VInt<BK> Node, simd::VMask<BK> Act,
 /// loop's row/edge stages.
 template <typename BK, typename FarT, typename NearT, typename BodyT>
 void edgeMapFlat(LoopScheduler &Sched, std::int64_t NumEdges, int TaskIdx,
-                 int TaskCount, bool Inspect, const Lookahead &LA,
+                 int TaskCount, bool Inspect, Lookahead LA,
                  FarT &&FarFn, NearT &&NearFn, BodyT &&Body,
                  [[maybe_unused]] trace::TaskTrace *TT = nullptr) {
   EGACS_TRACED(trace::ScopedSpan Span(TT, trace::SpanKind::EdgeMapFlat,

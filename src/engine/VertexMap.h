@@ -52,7 +52,8 @@ void forEachWorklistRange(const KernelConfig &Cfg, const VT &G,
                           const NodeId *Items, std::int64_t TotalSize,
                           std::int64_t Begin, std::int64_t End, int TaskCount,
                           const PrefetchPlan &PF, PrefetchCounters &C,
-                          BodyT &&Body, trace::TaskTrace *TT = nullptr) {
+                          BodyT &&Body,
+                          [[maybe_unused]] trace::TaskTrace *TT = nullptr) {
   const std::int64_t W = BK::Width;
   const int NumFibers =
       Cfg.Fibers ? FiberConfig::numFibersPerTask(TotalSize, BK::Width,
@@ -74,32 +75,29 @@ void forEachWorklistRange(const KernelConfig &Cfg, const VT &G,
   auto EdgeStage = [&](std::int64_t P, std::int64_t E) {
     prefetchEdgeStage<BK>(G, Items, P, E, PF, C);
   };
-  stagedSpans(
-      Staged ? TT : nullptr, C, End - Begin,
-      [&] {
-        if (Staged)
-          for (int F = 0; F < NumFibers; ++F)
-            LA.warm(Begin + F * PerFiber, FiberEnd(F), W, RowStage,
-                    EdgeStage);
-      },
-      [&] {
-        for (std::int64_t Step = 0; Step < PerFiber / W; ++Step) {
-          for (int F = 0; F < NumFibers; ++F) {
-            std::int64_t I = Begin + F * PerFiber + Step * W;
-            std::int64_t FEnd = FiberEnd(F);
-            if (I >= FEnd)
-              continue;
-            if (Staged)
-              LA.ahead(I, FEnd, RowStage, EdgeStage);
-            int Valid = static_cast<int>(FEnd - I < W ? FEnd - I : W);
-            simd::VMask<BK> Act = simd::maskFirstN<BK>(Valid);
-            simd::VInt<BK> Values = Valid == BK::Width
-                                        ? simd::load<BK>(Items + I)
-                                        : simd::maskedLoad<BK>(Items + I, Act);
-            Body(Values, Act);
-          }
-        }
-      });
+  if (Staged)
+    inspectPrologue(TT, C, [&] {
+      for (int F = 0; F < NumFibers; ++F)
+        LA.warm(Begin + F * PerFiber, FiberEnd(F), W, RowStage, EdgeStage);
+    });
+  EGACS_TRACED(trace::ScopedSpan Execute(
+      Staged ? TT : nullptr, trace::SpanKind::PrefetchExecute, End - Begin);)
+  for (std::int64_t Step = 0; Step < PerFiber / W; ++Step) {
+    for (int F = 0; F < NumFibers; ++F) {
+      std::int64_t I = Begin + F * PerFiber + Step * W;
+      std::int64_t FEnd = FiberEnd(F);
+      if (I >= FEnd)
+        continue;
+      if (Staged)
+        LA.ahead(I, FEnd, RowStage, EdgeStage);
+      int Valid = static_cast<int>(FEnd - I < W ? FEnd - I : W);
+      simd::VMask<BK> Act = simd::maskFirstN<BK>(Valid);
+      simd::VInt<BK> Values = Valid == BK::Width
+                                  ? simd::load<BK>(Items + I)
+                                  : simd::maskedLoad<BK>(Items + I, Act);
+      Body(Values, Act);
+    }
+  }
 }
 
 /// Iterates task \p TaskIdx's share of Items[0, Size), one vector at a

@@ -33,25 +33,19 @@
 
 namespace egacs {
 
-/// The trace shape of a staged loop: \p Warm (the inspect prologue) runs
-/// inside a PrefetchInspect span whose detail is the prefetches it issued,
-/// then \p Execute inside a PrefetchExecute span over \p Items items. A
-/// null \p TT (untraced runs, inactive plans) records nothing.
-template <typename WarmT, typename ExecuteT>
-void stagedSpans([[maybe_unused]] trace::TaskTrace *TT,
-                 [[maybe_unused]] const PrefetchCounters &C,
-                 [[maybe_unused]] std::int64_t Items, WarmT &&Warm,
-                 ExecuteT &&Execute) {
-  {
-    EGACS_TRACED(const std::uint64_t Issued0 = C.Issued;
-                 trace::ScopedSpan Inspect(TT, trace::SpanKind::PrefetchInspect);)
-    Warm();
-    EGACS_TRACED(
-        Inspect.setDetail(static_cast<std::int64_t>(C.Issued - Issued0));)
-  }
+/// Runs a staged loop's inspect prologue \p Warm inside a PrefetchInspect
+/// span whose detail is the prefetches it issued (recorded only when
+/// \p TT is non-null). The loop's execute stage follows in a
+/// PrefetchExecute span.
+template <typename WarmT>
+void inspectPrologue([[maybe_unused]] trace::TaskTrace *TT,
+                     [[maybe_unused]] const PrefetchCounters &C,
+                     WarmT &&Warm) {
+  EGACS_TRACED(const std::uint64_t Issued0 = C.Issued;
+               trace::ScopedSpan Inspect(TT, trace::SpanKind::PrefetchInspect);)
+  Warm();
   EGACS_TRACED(
-      trace::ScopedSpan Span(TT, trace::SpanKind::PrefetchExecute, Items);)
-  Execute();
+      Inspect.setDetail(static_cast<std::int64_t>(C.Issued - Issued0));)
 }
 
 /// Calls Body(VInt NodeIds, VMask Active, int64 Slot) for each Width-sized
@@ -69,7 +63,8 @@ void stagedSpans([[maybe_unused]] trace::TaskTrace *TT,
 template <typename BK, typename VT, typename BodyT>
 void forEachNodeVector(const VT &G, std::int64_t Begin, std::int64_t End,
                        const PrefetchPlan &PF, PrefetchCounters &C,
-                       BodyT &&Body, trace::TaskTrace *TT = nullptr) {
+                       BodyT &&Body,
+                       [[maybe_unused]] trace::TaskTrace *TT = nullptr) {
   const std::int64_t W = BK::Width;
   const bool Staged = PF.active();
   const NodeId *Order = viewOrder(G);
@@ -98,19 +93,15 @@ void forEachNodeVector(const VT &G, std::int64_t Begin, std::int64_t End,
     }
   }
   const Lookahead LA = PF.lookahead(W);
-  stagedSpans(
-      Staged ? TT : nullptr, C, End - I,
-      [&] {
-        if (Staged)
-          LA.warm(I, End, W, RowStage, EdgeStage);
-      },
-      [&] {
-        for (; I < End; I += W) {
-          if (Staged)
-            LA.ahead(I, End, RowStage, EdgeStage);
-          Run(I, End);
-        }
-      });
+  if (Staged)
+    inspectPrologue(TT, C, [&] { LA.warm(I, End, W, RowStage, EdgeStage); });
+  EGACS_TRACED(trace::ScopedSpan Execute(
+      Staged ? TT : nullptr, trace::SpanKind::PrefetchExecute, End - I);)
+  for (; I < End; I += W) {
+    if (Staged)
+      LA.ahead(I, End, RowStage, EdgeStage);
+    Run(I, End);
+  }
 }
 
 /// The per-lane edge walk of one node vector, shared by push and pull:
