@@ -32,6 +32,64 @@
 
 namespace egacs {
 
+namespace loopdetail {
+
+/// forEachWorklistRange's loop, compiled once staged and once plain so the
+/// plain loop carries no staging code.
+template <bool Staged, typename BK, typename VT, typename BodyT>
+void worklistRangeLoop(const KernelConfig &Cfg, const VT &G,
+                       const NodeId *Items, std::int64_t TotalSize,
+                       std::int64_t Begin, std::int64_t End, int TaskCount,
+                       const PrefetchPlan &PF, PrefetchCounters &C,
+                       BodyT &&Body, [[maybe_unused]] trace::TaskTrace *TT) {
+  const std::int64_t W = BK::Width;
+  const int NumFibers =
+      Cfg.Fibers ? FiberConfig::numFibersPerTask(TotalSize, BK::Width,
+                                                 TaskCount,
+                                                 Cfg.MaxFibersPerTask)
+                 : 1;
+  std::int64_t PerFiber = (End - Begin + NumFibers - 1) / NumFibers;
+  // Round fiber stride up to whole vectors so fibers stay vector-aligned.
+  PerFiber = (PerFiber + W - 1) / W * W;
+  auto FiberEnd = [&](int F) {
+    std::int64_t E = Begin + (F + 1) * PerFiber;
+    return E < End ? E : End;
+  };
+  [[maybe_unused]] const Lookahead LA =
+      Cfg.Fibers ? Lookahead{2 * W, W} : PF.lookahead(W);
+  [[maybe_unused]] auto RowStage = [&](std::int64_t P, std::int64_t E) {
+    prefetchRowStage<BK>(G, Items, P, E, PF, C);
+  };
+  [[maybe_unused]] auto EdgeStage = [&](std::int64_t P, std::int64_t E) {
+    prefetchEdgeStage<BK>(G, Items, P, E, PF, C);
+  };
+  if constexpr (Staged)
+    inspectPrologue(TT, C, [&] {
+      for (int F = 0; F < NumFibers; ++F)
+        LA.warm(Begin + F * PerFiber, FiberEnd(F), W, RowStage, EdgeStage);
+    });
+  EGACS_TRACED(trace::ScopedSpan Execute(
+      Staged ? TT : nullptr, trace::SpanKind::PrefetchExecute, End - Begin);)
+  for (std::int64_t Step = 0; Step < PerFiber / W; ++Step) {
+    for (int F = 0; F < NumFibers; ++F) {
+      std::int64_t I = Begin + F * PerFiber + Step * W;
+      std::int64_t FEnd = FiberEnd(F);
+      if (I >= FEnd)
+        continue;
+      if constexpr (Staged)
+        LA.ahead(I, FEnd, RowStage, EdgeStage);
+      int Valid = static_cast<int>(FEnd - I < W ? FEnd - I : W);
+      simd::VMask<BK> Act = simd::maskFirstN<BK>(Valid);
+      simd::VInt<BK> Values = Valid == BK::Width
+                                  ? simd::load<BK>(Items + I)
+                                  : simd::maskedLoad<BK>(Items + I, Act);
+      Body(Values, Act);
+    }
+  }
+}
+
+} // namespace loopdetail
+
 /// Iterates Items[Begin, End) one vector at a time: Body(VInt Values,
 /// VMask Active); the final vector of each fiber is tail-masked. With
 /// Fibers enabled the range is further split into the paper's dynamic fiber
@@ -52,52 +110,13 @@ void forEachWorklistRange(const KernelConfig &Cfg, const VT &G,
                           const NodeId *Items, std::int64_t TotalSize,
                           std::int64_t Begin, std::int64_t End, int TaskCount,
                           const PrefetchPlan &PF, PrefetchCounters &C,
-                          BodyT &&Body,
-                          [[maybe_unused]] trace::TaskTrace *TT = nullptr) {
-  const std::int64_t W = BK::Width;
-  const int NumFibers =
-      Cfg.Fibers ? FiberConfig::numFibersPerTask(TotalSize, BK::Width,
-                                                 TaskCount,
-                                                 Cfg.MaxFibersPerTask)
-                 : 1;
-  std::int64_t PerFiber = (End - Begin + NumFibers - 1) / NumFibers;
-  // Round fiber stride up to whole vectors so fibers stay vector-aligned.
-  PerFiber = (PerFiber + W - 1) / W * W;
-  auto FiberEnd = [&](int F) {
-    std::int64_t E = Begin + (F + 1) * PerFiber;
-    return E < End ? E : End;
-  };
-  const bool Staged = PF.active();
-  const Lookahead LA = Cfg.Fibers ? Lookahead{2 * W, W} : PF.lookahead(W);
-  auto RowStage = [&](std::int64_t P, std::int64_t E) {
-    prefetchRowStage<BK>(G, Items, P, E, PF, C);
-  };
-  auto EdgeStage = [&](std::int64_t P, std::int64_t E) {
-    prefetchEdgeStage<BK>(G, Items, P, E, PF, C);
-  };
-  if (Staged)
-    inspectPrologue(TT, C, [&] {
-      for (int F = 0; F < NumFibers; ++F)
-        LA.warm(Begin + F * PerFiber, FiberEnd(F), W, RowStage, EdgeStage);
-    });
-  EGACS_TRACED(trace::ScopedSpan Execute(
-      Staged ? TT : nullptr, trace::SpanKind::PrefetchExecute, End - Begin);)
-  for (std::int64_t Step = 0; Step < PerFiber / W; ++Step) {
-    for (int F = 0; F < NumFibers; ++F) {
-      std::int64_t I = Begin + F * PerFiber + Step * W;
-      std::int64_t FEnd = FiberEnd(F);
-      if (I >= FEnd)
-        continue;
-      if (Staged)
-        LA.ahead(I, FEnd, RowStage, EdgeStage);
-      int Valid = static_cast<int>(FEnd - I < W ? FEnd - I : W);
-      simd::VMask<BK> Act = simd::maskFirstN<BK>(Valid);
-      simd::VInt<BK> Values = Valid == BK::Width
-                                  ? simd::load<BK>(Items + I)
-                                  : simd::maskedLoad<BK>(Items + I, Act);
-      Body(Values, Act);
-    }
-  }
+                          BodyT &&Body, trace::TaskTrace *TT = nullptr) {
+  if (PF.active())
+    loopdetail::worklistRangeLoop<true, BK>(Cfg, G, Items, TotalSize, Begin,
+                                            End, TaskCount, PF, C, Body, TT);
+  else
+    loopdetail::worklistRangeLoop<false, BK>(Cfg, G, Items, TotalSize, Begin,
+                                             End, TaskCount, PF, C, Body, TT);
 }
 
 /// Iterates task \p TaskIdx's share of Items[0, Size), one vector at a

@@ -48,6 +48,54 @@ void inspectPrologue([[maybe_unused]] trace::TaskTrace *TT,
       Inspect.setDetail(static_cast<std::int64_t>(C.Issued - Issued0));)
 }
 
+namespace loopdetail {
+
+/// forEachNodeVector's loop, compiled once staged and once plain so the
+/// plain loop carries no staging code.
+template <bool Staged, typename BK, typename VT, typename BodyT>
+void nodeVectorLoop(const VT &G, std::int64_t Begin, std::int64_t End,
+                    const PrefetchPlan &PF, PrefetchCounters &C, BodyT &&Body,
+                    [[maybe_unused]] trace::TaskTrace *TT) {
+  const std::int64_t W = BK::Width;
+  const NodeId *Order = viewOrder(G);
+  [[maybe_unused]] auto RowStage = [&](std::int64_t P, std::int64_t E) {
+    prefetchRowStage<BK>(G, Order, P, E, PF, C);
+  };
+  [[maybe_unused]] auto EdgeStage = [&](std::int64_t P, std::int64_t E) {
+    prefetchEdgeStage<BK>(G, Order, P, E, PF, C);
+  };
+  auto Run = [&](std::int64_t I, std::int64_t E) {
+    simd::VMask<BK> Act =
+        simd::maskFirstN<BK>(static_cast<int>(E - I < W ? E - I : W));
+    Body(slotNodes<BK>(G, I, Act), Act, I);
+  };
+  std::int64_t I = Begin;
+  if constexpr (ViewSellTraits<VT>::SellSlices) {
+    std::int64_t Aligned = (Begin + W - 1) / W * W;
+    std::int64_t PeelEnd = Aligned < End ? Aligned : End;
+    if (I < PeelEnd) {
+      if constexpr (Staged) {
+        RowStage(I, PeelEnd);
+        EdgeStage(I, PeelEnd);
+      }
+      Run(I, PeelEnd);
+      I = PeelEnd;
+    }
+  }
+  [[maybe_unused]] const Lookahead LA = PF.lookahead(W);
+  if constexpr (Staged)
+    inspectPrologue(TT, C, [&] { LA.warm(I, End, W, RowStage, EdgeStage); });
+  EGACS_TRACED(trace::ScopedSpan Execute(
+      Staged ? TT : nullptr, trace::SpanKind::PrefetchExecute, End - I);)
+  for (; I < End; I += W) {
+    if constexpr (Staged)
+      LA.ahead(I, End, RowStage, EdgeStage);
+    Run(I, End);
+  }
+}
+
+} // namespace loopdetail
+
 /// Calls Body(VInt NodeIds, VMask Active, int64 Slot) for each Width-sized
 /// slice of the view's slot range [Begin, End) — topology-driven iteration
 /// over all nodes in the layout's order. Slot is the first slot index of
@@ -63,45 +111,11 @@ void inspectPrologue([[maybe_unused]] trace::TaskTrace *TT,
 template <typename BK, typename VT, typename BodyT>
 void forEachNodeVector(const VT &G, std::int64_t Begin, std::int64_t End,
                        const PrefetchPlan &PF, PrefetchCounters &C,
-                       BodyT &&Body,
-                       [[maybe_unused]] trace::TaskTrace *TT = nullptr) {
-  const std::int64_t W = BK::Width;
-  const bool Staged = PF.active();
-  const NodeId *Order = viewOrder(G);
-  auto RowStage = [&](std::int64_t P, std::int64_t E) {
-    prefetchRowStage<BK>(G, Order, P, E, PF, C);
-  };
-  auto EdgeStage = [&](std::int64_t P, std::int64_t E) {
-    prefetchEdgeStage<BK>(G, Order, P, E, PF, C);
-  };
-  auto Run = [&](std::int64_t I, std::int64_t E) {
-    simd::VMask<BK> Act =
-        simd::maskFirstN<BK>(static_cast<int>(E - I < W ? E - I : W));
-    Body(slotNodes<BK>(G, I, Act), Act, I);
-  };
-  std::int64_t I = Begin;
-  if constexpr (ViewSellTraits<VT>::SellSlices) {
-    std::int64_t Aligned = (Begin + W - 1) / W * W;
-    std::int64_t PeelEnd = Aligned < End ? Aligned : End;
-    if (I < PeelEnd) {
-      if (Staged) {
-        RowStage(I, PeelEnd);
-        EdgeStage(I, PeelEnd);
-      }
-      Run(I, PeelEnd);
-      I = PeelEnd;
-    }
-  }
-  const Lookahead LA = PF.lookahead(W);
-  if (Staged)
-    inspectPrologue(TT, C, [&] { LA.warm(I, End, W, RowStage, EdgeStage); });
-  EGACS_TRACED(trace::ScopedSpan Execute(
-      Staged ? TT : nullptr, trace::SpanKind::PrefetchExecute, End - I);)
-  for (; I < End; I += W) {
-    if (Staged)
-      LA.ahead(I, End, RowStage, EdgeStage);
-    Run(I, End);
-  }
+                       BodyT &&Body, trace::TaskTrace *TT = nullptr) {
+  if (PF.active())
+    loopdetail::nodeVectorLoop<true, BK>(G, Begin, End, PF, C, Body, TT);
+  else
+    loopdetail::nodeVectorLoop<false, BK>(G, Begin, End, PF, C, Body, TT);
 }
 
 /// The per-lane edge walk of one node vector, shared by push and pull:
