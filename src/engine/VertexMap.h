@@ -37,11 +37,11 @@ namespace loopdetail {
 /// forEachWorklistRange's loop, compiled once staged and once plain so the
 /// plain loop carries no staging code.
 template <bool Staged, typename BK, typename VT, typename BodyT>
-void worklistRangeLoop(const KernelConfig &Cfg, const VT &G,
-                       const NodeId *Items, std::int64_t TotalSize,
-                       std::int64_t Begin, std::int64_t End, int TaskCount,
-                       const PrefetchPlan &PF, PrefetchCounters &C,
-                       BodyT &&Body, [[maybe_unused]] trace::TaskTrace *TT) {
+[[gnu::noinline]] void
+worklistRangeLoop(const KernelConfig &Cfg, const VT &G, const NodeId *Items,
+                  std::int64_t TotalSize, std::int64_t Begin, std::int64_t End,
+                  int TaskCount, const PrefetchPlan &PF, PrefetchCounters &C,
+                  BodyT &&Body, [[maybe_unused]] trace::TaskTrace *TT) {
   const std::int64_t W = BK::Width;
   const int NumFibers =
       Cfg.Fibers ? FiberConfig::numFibersPerTask(TotalSize, BK::Width,
@@ -68,8 +68,8 @@ void worklistRangeLoop(const KernelConfig &Cfg, const VT &G,
       for (int F = 0; F < NumFibers; ++F)
         LA.warm(Begin + F * PerFiber, FiberEnd(F), W, RowStage, EdgeStage);
     });
-  EGACS_TRACED(trace::ScopedSpan Execute(
-      Staged ? TT : nullptr, trace::SpanKind::PrefetchExecute, End - Begin);)
+  EGACS_TRACED(StageSpan<Staged> Execute(TT, trace::SpanKind::PrefetchExecute,
+                                         End - Begin);)
   for (std::int64_t Step = 0; Step < PerFiber / W; ++Step) {
     for (int F = 0; F < NumFibers; ++F) {
       std::int64_t I = Begin + F * PerFiber + Step * W;
