@@ -358,15 +358,13 @@ inline constexpr std::int64_t NoSlot = -1;
 /// neighbors can be swept with unit-stride loads. False for every other
 /// view and for worklist-order vectors (NoSlot).
 template <typename BK, typename VT>
-bool sellChunkAligned(const VT &G, std::int64_t Slot) {
+bool sellChunkAligned([[maybe_unused]] const VT &G,
+                      [[maybe_unused]] std::int64_t Slot) {
   if constexpr (ViewSellTraits<VT>::SellSlices)
     return Slot >= 0 && Slot % BK::Width == 0 &&
            G.chunkWidth() == static_cast<std::int32_t>(BK::Width);
-  else {
-    (void)G;
-    (void)Slot;
+  else
     return false;
-  }
 }
 
 /// Fetches the neighbors addressed by original edge indices \p EdgeIdx.
